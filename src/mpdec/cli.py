@@ -85,10 +85,10 @@ def parse_sim_config_text(text: str) -> SimConfig:
         raise ValueError("config needs a code= line")
     code = load_code(kv["code"])
     dc_kwargs = {}
+    fields = {f.name: f.type for f in dataclasses.fields(DecoderConfig)}
     for key, value in kv.items():
         if key.startswith("decoder."):
             name = key[len("decoder."):]
-            fields = {f.name: f.type for f in dataclasses.fields(DecoderConfig)}
             if name not in fields:
                 raise ValueError(f"unknown decoder option {name!r}")
             current = getattr(DecoderConfig(), name)
@@ -96,10 +96,13 @@ def parse_sim_config_text(text: str) -> SimConfig:
                 dc_kwargs[name] = tuple(value.split(","))
             elif isinstance(current, bool):
                 dc_kwargs[name] = value.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                dc_kwargs[name] = int(value)
-            elif isinstance(current, float):
-                dc_kwargs[name] = float(value)
+            elif isinstance(current, (int, float)) or fields[name] == "int | None":
+                kind = float if isinstance(current, float) else int
+                try:
+                    dc_kwargs[name] = kind(value)
+                except ValueError:
+                    raise ValueError(f"decoder.{name} must be a number of type "
+                                     f"{kind.__name__}, got {value!r}") from None
             else:
                 dc_kwargs[name] = value
     return SimConfig(

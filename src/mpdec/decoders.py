@@ -18,13 +18,13 @@ from itertools import combinations, product
 import numpy as np
 
 from .channels import hard_decision
-from .formulations import (FsInequality, build_formulation,
+from .formulations import (Formulation, FsInequality, build_formulation,
                            matrix_adaptation_cut_search, most_violated_fs_cut,
                            row_fs_cuts, rpc_cycle_cut_search)
-from .gf2 import LinearCode, syndrome
-from .simplex import (INTEGRALITY_TOL, LpSolution, LpSolverError,
-                      add_rows_resolve, fix_variable_resolve, make_problem,
-                      solve)
+from .gf2 import LinearCode, _gauss_jordan, syndrome
+from .simplex import (_TIE_EPS, COST_TOL, FEAS_TOL, INTEGRALITY_TOL, LpSolution,
+                      LpSolverError, add_rows_resolve, fix_variable_resolve,
+                      is_integral, make_problem, solve)
 
 
 class DecodeStatus(Enum):
@@ -83,30 +83,20 @@ class DecoderConfig:
                      "subset_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-
-
-def _is_integral(x) -> bool:
-    x = np.asarray(x, dtype=float)
-    return bool(np.all(np.abs(x - np.round(x)) <= INTEGRALITY_TOL))
-
-
-def _is_codeword(code: LinearCode, x) -> bool:
-    bits = np.round(np.asarray(x, dtype=float)).astype(np.uint8)
-    return not syndrome(code.H, bits).any()
+        for name in ("max_depth", "num_faces"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, int) or value < 1):
+                raise ValueError(f"{name} must be None or a positive int, "
+                                 f"got {value!r}")
 
 
 def _certified(code: LinearCode, x) -> bool:
-    return _is_integral(x) and _is_codeword(code, x)
-
-
-def _finish_lp_result(code: LinearCode, x, value: float,
-                      stats: DecodeStats, t0: float) -> DecodeResult:
-    stats.wall_time = time.perf_counter() - t0
-    if _certified(code, x):
-        point = np.round(np.asarray(x, dtype=float)).astype(np.uint8)
-        return DecodeResult(DecodeStatus.ML_CERTIFIED, point, value, stats)
-    return DecodeResult(DecodeStatus.FRACTIONAL_FAILURE,
-                        np.asarray(x, dtype=float).copy(), value, stats)
+    """x is an integral codeword, so as an LP optimum it is the ML word."""
+    if not is_integral(x):
+        return False
+    bits = np.round(np.asarray(x, dtype=float)).astype(np.uint8)
+    return not syndrome(code.H, bits).any()
 
 
 def _solver_error(stats: DecodeStats, t0: float) -> DecodeResult:
@@ -114,19 +104,94 @@ def _solver_error(stats: DecodeStats, t0: float) -> DecodeResult:
     return DecodeResult(DecodeStatus.SOLVER_ERROR, None, math.nan, stats)
 
 
-def lp_decode(code: LinearCode, llr, formulation: str = "fs") -> DecodeResult:
-    """Bare LP decoding: solve one relaxation, certify if integral."""
+def _root(code: LinearCode, llr, formulation: str) -> tuple[Formulation, LpSolution]:
+    """Build and solve the root relaxation; LpSolverError unless optimal."""
+    form = build_formulation(code, formulation, llr)
+    sol = solve(form.lp)
+    if not sol.optimal:
+        raise LpSolverError("root relaxation not optimal")
+    return form, sol
+
+
+class _Incumbent:
+    """The best integral codeword a search has met.
+
+    A candidate wins when its value is lower by more than COST_TOL, or ties
+    within COST_TOL and is lexicographically smaller: the brute-force
+    oracle's convention.  Searches prune nodes that cannot win.
+    """
+
+    def __init__(self, code: LinearCode):
+        self.code = code
+        self.value = math.inf
+        self.point: np.ndarray | None = None
+
+    def offer(self, sol: LpSolution) -> bool:
+        """Keep the optimal solution sol if it wins; True if it is a codeword."""
+        x = sol.x[:self.code.n]
+        if not _certified(self.code, x):
+            return False
+        point = np.round(x).astype(np.uint8)
+        if (sol.value < self.value - COST_TOL
+                or (abs(sol.value - self.value) <= COST_TOL and self.point is not None
+                    and tuple(point) < tuple(self.point))):
+            self.value = min(self.value, sol.value)
+            self.point = point
+        return True
+
+    def prunes(self, value: float) -> bool:
+        return value >= self.value - COST_TOL
+
+    def result(self, complete: bool, relaxed: LpSolution, stats: DecodeStats,
+               t0: float) -> DecodeResult:
+        """The incumbent (ML_CERTIFIED if the search was complete, else
+        CODEWORD_FOUND), or without one the relaxed optimum as
+        FRACTIONAL_FAILURE."""
+        stats.wall_time = time.perf_counter() - t0
+        if self.point is None:
+            return DecodeResult(DecodeStatus.FRACTIONAL_FAILURE,
+                                relaxed.x[:self.code.n].copy(), relaxed.value, stats)
+        status = DecodeStatus.ML_CERTIFIED if complete else DecodeStatus.CODEWORD_FOUND
+        return DecodeResult(status, self.point, self.value, stats)
+
+
+def _finish_lp_result(code: LinearCode, sol: LpSolution, stats: DecodeStats,
+                      t0: float) -> DecodeResult:
+    """ML_CERTIFIED if the optimum sol is an integral codeword, else
+    FRACTIONAL_FAILURE."""
+    incumbent = _Incumbent(code)
+    return incumbent.result(incumbent.offer(sol), sol, stats, t0)
+
+
+def _search_from_root(code: LinearCode, llr, formulation: str,
+                      search=None) -> DecodeResult:
+    """The shared scaffold of the LP search decoders.
+
+    Solves the root relaxation and returns ML_CERTIFIED when its optimum is
+    an integral codeword.  Otherwise `search(form, root, incumbent, stats)`
+    offers its candidates to the incumbent and returns True if it covered
+    the whole code; the result is the incumbent (ML_CERTIFIED after a
+    complete search, else CODEWORD_FOUND) or, with none, the root
+    pseudocodeword as FRACTIONAL_FAILURE.  Solver trouble anywhere gives
+    SOLVER_ERROR.
+    """
     t0 = time.perf_counter()
     stats = DecodeStats(lp_solves=1)
+    incumbent = _Incumbent(code)
     try:
-        form = build_formulation(code, formulation, np.asarray(llr, dtype=float))
-        sol = solve(form.lp)
+        form, root = _root(code, np.asarray(llr, dtype=float), formulation)
+        stats.final_rows = len(form.lp.rows)
+        complete = incumbent.offer(root)
+        if not complete and search is not None:
+            complete = search(form, root, incumbent, stats)
     except LpSolverError:
         return _solver_error(stats, t0)
-    if not sol.optimal:
-        return _solver_error(stats, t0)
-    stats.final_rows = len(form.lp.rows)
-    return _finish_lp_result(code, sol.x[:code.n], sol.value, stats, t0)
+    return incumbent.result(complete, root, stats, t0)
+
+
+def lp_decode(code: LinearCode, llr, formulation: str = "fs") -> DecodeResult:
+    """Bare LP decoding: solve one relaxation, certify if integral."""
+    return _search_from_root(code, llr, formulation)
 
 
 def adaptive_lp_decode(code: LinearCode, llr, drop_inactive: bool = False,
@@ -154,42 +219,30 @@ def adaptive_lp_decode(code: LinearCode, llr, drop_inactive: bool = False,
         current: list[tuple[int, FsInequality]] = []
         while True:
             x = sol.x[:n]
+            skip: set[int] = set()
             if drop_inactive:
-                kept: list[tuple[int, FsInequality]] = []
-                kept_checks = set()
+                kept = []
                 for ci, ineq in current:
-                    if ci not in kept_checks and abs(ineq.violation(x)) <= 1e-9:
+                    if ci not in skip and abs(ineq.violation(x)) <= FEAS_TOL:
                         kept.append((ci, ineq))
-                        kept_checks.add(ci)
-                new = []
-                for i, support in enumerate(supports):
-                    if not support or i in kept_checks:
-                        continue
+                        skip.add(ci)
+                current = kept
+            new = []
+            for i, support in enumerate(supports):
+                if support and i not in skip:
                     cut = most_violated_fs_cut(support, x)
                     if cut is not None:
                         new.append((i, cut))
-                if not new:
-                    current = kept
-                    break
-                current = kept + new
+            if not new:
+                break
+            current.extend(new)
+            if drop_inactive:
                 sol = solve(make_problem(
                     n, llr, [ineq.as_lp_row() for _, ineq in current]))
-                stats.lp_solves += 1
-                stats.cuts_added += len(new)
             else:
-                new = []
-                for i, support in enumerate(supports):
-                    if not support:
-                        continue
-                    cut = most_violated_fs_cut(support, x)
-                    if cut is not None:
-                        new.append((i, cut))
-                if not new:
-                    break
                 sol = add_rows_resolve(sol, [ineq.as_lp_row() for _, ineq in new])
-                stats.lp_solves += 1
-                stats.cuts_added += len(new)
-                current.extend(new)
+            stats.lp_solves += 1
+            stats.cuts_added += len(new)
             stats.iterations += 1
             if stats.iterations > max_iterations:
                 return _solver_error(stats, t0)
@@ -198,7 +251,7 @@ def adaptive_lp_decode(code: LinearCode, llr, drop_inactive: bool = False,
     except LpSolverError:
         return _solver_error(stats, t0)
     stats.final_rows = len(current)
-    return _finish_lp_result(code, sol.x[:n], sol.value, stats, t0)
+    return _finish_lp_result(code, sol, stats, t0)
 
 
 _SEARCHERS = {
@@ -220,13 +273,11 @@ def cutting_plane_decode(code: LinearCode, llr, searchers=("adaptation",),
     """
     t0 = time.perf_counter()
     llr = np.asarray(llr, dtype=float)
-    stats = DecodeStats()
+    stats = DecodeStats(lp_solves=1)
     chain = [_SEARCHERS[s] if isinstance(s, str) else s for s in searchers]
     seen: set[tuple] = set()
     try:
-        form = build_formulation(code, base, llr)
-        sol = solve(form.lp)
-        stats.lp_solves += 1
+        form, sol = _root(code, llr, base)
         for _ in range(max_rounds):
             if not sol.optimal:
                 return _solver_error(stats, t0)
@@ -252,7 +303,7 @@ def cutting_plane_decode(code: LinearCode, llr, searchers=("adaptation",),
     except LpSolverError:
         return _solver_error(stats, t0)
     stats.final_rows = len(form.lp.rows) + stats.cuts_added
-    return _finish_lp_result(code, sol.x[:code.n], sol.value, stats, t0)
+    return _finish_lp_result(code, sol, stats, t0)
 
 
 def fractional_distance(code: LinearCode, formulation: str = "fs") -> float:
@@ -263,11 +314,7 @@ def fractional_distance(code: LinearCode, formulation: str = "fs") -> float:
     optimum over those faces is the fractional distance.  With the
     cascade formulation only full-support degree-3 rows are used.
     """
-    ones = np.ones(code.n)
-    form = build_formulation(code, formulation, ones)
-    base = solve(form.lp)
-    if not base.optimal:
-        raise LpSolverError("base relaxation not solvable")
+    form, base = _root(code, np.ones(code.n), formulation)
     best = math.inf
     for row, tag in zip(form.lp.rows, form.row_tags):
         if tag[0] != "fs" or row.rhs <= 0:
@@ -293,52 +340,35 @@ def facet_guessing_decode(code: LinearCode, llr, mode: str = "exhaustive",
     Candidate faces are the forbidden-set rows and box faces that the
     pseudocodeword does not touch; each face LP that comes back integral
     proposes a codeword, and the cheapest proposal wins (without an ML
-    certificate).
+    certificate).  It keeps the full forbidden-set root, since the faces it
+    enumerates are that description's rows.
     """
     if mode not in ("exhaustive", "random"):
         raise ValueError("mode must be 'exhaustive' or 'random'")
-    t0 = time.perf_counter()
-    llr = np.asarray(llr, dtype=float)
-    stats = DecodeStats(lp_solves=1)
-    try:
-        form = build_formulation(code, "fs", llr)
-        sol = solve(form.lp)
-        if not sol.optimal:
-            return _solver_error(stats, t0)
-        x = sol.x[:code.n]
-        if _certified(code, x):
-            return _finish_lp_result(code, x, sol.value, stats, t0)
-        active = set(sol.active_rows)
-        faces: list[tuple] = []
-        for ri, row in enumerate(form.lp.rows):
-            if ri not in active:
-                faces.append(("row", row))
+
+    def search(form, root, incumbent, stats):
+        x = root.x[:code.n]
+        active = set(root.active_rows)
+        faces = [([(row.coeffs, ">=", row.rhs)], None)
+                 for ri, row in enumerate(form.lp.rows) if ri not in active]
         for j in range(code.n):
-            if x[j] > 1e-9:
-                faces.append(("fix", j, 0.0))
-            if x[j] < 1.0 - 1e-9:
-                faces.append(("fix", j, 1.0))
+            if x[j] > FEAS_TOL:
+                faces.append((None, (j, 0.0)))
+            if x[j] < 1.0 - FEAS_TOL:
+                faces.append((None, (j, 1.0)))
         if mode == "random" and num_faces is not None and num_faces < len(faces):
             rng = np.random.default_rng(rng_seed)
             idx = rng.choice(len(faces), size=num_faces, replace=False)
             faces = [faces[int(i)] for i in sorted(idx)]
-        best_val, best_point = math.inf, None
-        for face in faces:
-            if face[0] == "row":
-                cand = add_rows_resolve(sol, [(face[1].coeffs, ">=", face[1].rhs)])
-            else:
-                cand = fix_variable_resolve(sol, face[1], face[2])
+        for rows, pin in faces:
+            cand = (add_rows_resolve(root, rows) if pin is None
+                    else fix_variable_resolve(root, *pin))
             stats.lp_solves += 1
-            if cand.optimal and _certified(code, cand.x[:code.n]):
-                if cand.value < best_val - 1e-12:
-                    best_val = cand.value
-                    best_point = np.round(cand.x[:code.n]).astype(np.uint8)
-    except LpSolverError:
-        return _solver_error(stats, t0)
-    stats.wall_time = time.perf_counter() - t0
-    if best_point is None:
-        return DecodeResult(DecodeStatus.FRACTIONAL_FAILURE, x.copy(), sol.value, stats)
-    return DecodeResult(DecodeStatus.CODEWORD_FOUND, best_point, best_val, stats)
+            if cand.optimal:
+                incumbent.offer(cand)
+        return False
+
+    return _search_from_root(code, llr, "fs", search)
 
 
 def bit_guessing_decode(code: LinearCode, llr, c: float = 1.0,
@@ -347,50 +377,26 @@ def bit_guessing_decode(code: LinearCode, llr, c: float = 1.0,
     integral re-solve."""
     if c < 1:
         raise ValueError("c must be at least 1")
-    t0 = time.perf_counter()
-    llr = np.asarray(llr, dtype=float)
-    stats = DecodeStats(lp_solves=1)
-    try:
-        form = build_formulation(code, "fs", llr)
-        sol = solve(form.lp)
-        if not sol.optimal:
-            return _solver_error(stats, t0)
-        x = sol.x[:code.n]
-        if _certified(code, x):
-            return _finish_lp_result(code, x, sol.value, stats, t0)
+
+    def search(form, root, incumbent, stats):
         k = min(code.n, math.ceil(c * math.log2(max(code.n, 2))))
         rng = np.random.default_rng(rng_seed)
         positions = sorted(int(j) for j in rng.choice(code.n, size=k, replace=False))
-        best_val, best_point = math.inf, None
         for bits in product((0.0, 1.0), repeat=k):
-            rows = [([(j, 1.0)], "=", b) for j, b in zip(positions, bits)]
-            cand = add_rows_resolve(sol, rows)
+            cand = fix_variable_resolve(root, positions, bits)
             stats.lp_solves += 1
-            if cand.optimal and _certified(code, cand.x[:code.n]):
-                if cand.value < best_val - 1e-12:
-                    best_val = cand.value
-                    best_point = np.round(cand.x[:code.n]).astype(np.uint8)
-    except LpSolverError:
-        return _solver_error(stats, t0)
-    stats.wall_time = time.perf_counter() - t0
-    if best_point is None:
-        return DecodeResult(DecodeStatus.FRACTIONAL_FAILURE, x.copy(), sol.value, stats)
-    return DecodeResult(DecodeStatus.CODEWORD_FOUND, best_point, best_val, stats)
+            if cand.optimal:
+                incumbent.offer(cand)
+        return False
+
+    return _search_from_root(code, llr, "fs", search)
 
 
-def _least_certain(x, fixed: set[int]) -> int:
-    """Branch variable: fractional coordinate closest to 1/2, lowest index
-    first; falls back to the lowest unfixed index when x is integral."""
-    x = np.asarray(x, dtype=float)
-    best, best_key = -1, (math.inf, math.inf)
-    for j in range(len(x)):
-        if j in fixed:
-            continue
-        frac = INTEGRALITY_TOL < x[j] < 1.0 - INTEGRALITY_TOL
-        key = (abs(x[j] - 0.5) if frac else 0.5, j)
-        if key < best_key:
-            best, best_key = j, key
-    return best
+def _least_certain(x, count: int) -> list[int]:
+    """Up to `count` fractional coordinates, closest to 1/2 first (lowest
+    index among ties)."""
+    frac = [j for j in range(len(x)) if INTEGRALITY_TOL < x[j] < 1 - INTEGRALITY_TOL]
+    return sorted(frac, key=lambda j: (abs(x[j] - 0.5), j))[:count]
 
 
 def branch_and_bound_decode(code: LinearCode, llr, formulation: str = "fs",
@@ -398,75 +404,48 @@ def branch_and_bound_decode(code: LinearCode, llr, formulation: str = "fs",
                             max_depth: int | None = None) -> DecodeResult:
     """Depth-first LP branch & bound; exact ML when the tree is exhausted.
 
-    Branches on the least certain variable with the 0-child explored
-    first; nodes are pruned at incumbent value minus 1e-9.
+    Branches on the fractional variable closest to 1/2 (on the lowest
+    unfixed one at an integral non-codeword) with the 0-child explored
+    first; nodes are pruned at incumbent value minus COST_TOL.
     """
-    t0 = time.perf_counter()
-    llr = np.asarray(llr, dtype=float)
     n = code.n
-    stats = DecodeStats(lp_solves=1)
-    try:
-        form = build_formulation(code, formulation, llr)
-        root = solve(form.lp)
-    except LpSolverError:
-        return _solver_error(stats, t0)
-    if not root.optimal:
-        return _solver_error(stats, t0)
-    inc_val, inc_point = math.inf, None
-    exhausted = True
-    # stack entries: (parent solution, var, value, depth, fixed set)
-    stack: list[tuple] = []
 
-    def consider(sol: LpSolution, depth: int, fixed: set[int]):
-        nonlocal inc_val, inc_point, exhausted
-        if not sol.optimal:
-            return
-        x = sol.x[:n]
-        if _is_integral(x) and _is_codeword(code, x):
-            point = np.round(x).astype(np.uint8)
-            # value ties resolve to the lexicographically smallest codeword,
-            # matching the enumeration oracle's convention
-            if (sol.value < inc_val - 1e-9
-                    or (abs(sol.value - inc_val) <= 1e-9 and inc_point is not None
-                        and tuple(point) < tuple(inc_point))):
-                inc_val = min(inc_val, sol.value)
-                inc_point = point
-            return
-        if sol.value >= inc_val - 1e-9:
-            return
-        if _is_integral(x) and len(fixed) >= n:
-            return
-        if max_depth is not None and depth >= max_depth:
-            exhausted = False
-            return
-        j = _least_certain(x, fixed)
-        if j < 0:
-            return
-        child_fixed = fixed | {j}
-        stack.append((sol, j, 1.0, depth + 1, child_fixed))
-        stack.append((sol, j, 0.0, depth + 1, child_fixed))
+    def search(form, root, incumbent, stats):
+        exhausted = True
+        # stack entries: (parent solution, var, value, depth, fixed set)
+        stack: list[tuple] = []
 
-    consider(root, 0, set())
-    try:
+        def branch(sol: LpSolution, depth: int, fixed: set[int]):
+            nonlocal exhausted
+            x = sol.x[:n]
+            if is_integral(x) and len(fixed) >= n:
+                return
+            if max_depth is not None and depth >= max_depth:
+                exhausted = False
+                return
+            # pinned bits are integral, so a fractional bit is never fixed
+            frac = _least_certain(x, 1)
+            j = frac[0] if frac else min(set(range(n)) - fixed)
+            child_fixed = fixed | {j}
+            stack.append((sol, j, 1.0, depth + 1, child_fixed))
+            stack.append((sol, j, 0.0, depth + 1, child_fixed))
+
+        branch(root, 0, set())
         while stack:
             if stats.branch_nodes >= max_nodes:
-                exhausted = False
-                break
+                return False
             parent, j, v, depth, fixed = stack.pop()
-            if parent.value >= inc_val - 1e-9:
+            if incumbent.prunes(parent.value):
                 continue
             child = fix_variable_resolve(parent, j, v)
             stats.branch_nodes += 1
             stats.lp_solves += 1
-            consider(child, depth, fixed)
-    except LpSolverError:
-        return _solver_error(stats, t0)
-    stats.wall_time = time.perf_counter() - t0
-    if inc_point is None:
-        status = DecodeStatus.FRACTIONAL_FAILURE
-        return DecodeResult(status, root.x[:n].copy(), root.value, stats)
-    status = DecodeStatus.ML_CERTIFIED if exhausted else DecodeStatus.CODEWORD_FOUND
-    return DecodeResult(status, inc_point, inc_val, stats)
+            if (child.optimal and not incumbent.offer(child)
+                    and not incumbent.prunes(child.value)):
+                branch(child, depth, fixed)
+        return exhausted
+
+    return _search_from_root(code, llr, formulation, search)
 
 
 def variable_depth_decode(code: LinearCode, llr, depth: int = 8) -> DecodeResult:
@@ -474,46 +453,25 @@ def variable_depth_decode(code: LinearCode, llr, depth: int = 8) -> DecodeResult
     solves at most 2^(depth+1) - 1 LPs."""
     if depth < 1:
         raise ValueError("depth must be positive")
-    t0 = time.perf_counter()
-    llr = np.asarray(llr, dtype=float)
-    n = code.n
-    stats = DecodeStats(lp_solves=1)
-    try:
-        form = build_formulation(code, "fs", llr)
-        root = solve(form.lp)
-        if not root.optimal:
-            return _solver_error(stats, t0)
-        x = root.x[:n]
-        if _certified(code, x):
-            return _finish_lp_result(code, x, root.value, stats, t0)
-        frac = [j for j in range(n) if INTEGRALITY_TOL < x[j] < 1 - INTEGRALITY_TOL]
-        targets = sorted(frac, key=lambda j: (abs(x[j] - 0.5), j))[:depth]
-        inc_val, inc_point = math.inf, None
+
+    def search(form, root, incumbent, stats):
         level = [root]
-        for t in targets:
+        for t in _least_certain(root.x[:code.n], depth):
             nxt = []
             for sol in level:
-                if sol.value >= inc_val - 1e-9:
+                if incumbent.prunes(sol.value):
                     continue
                 for v in (0.0, 1.0):
                     child = fix_variable_resolve(sol, t, v)
                     stats.lp_solves += 1
                     stats.branch_nodes += 1
-                    if not child.optimal or child.value >= inc_val - 1e-9:
-                        continue
-                    cx = child.x[:n]
-                    if _is_integral(cx) and _is_codeword(code, cx):
-                        inc_val = child.value
-                        inc_point = np.round(cx).astype(np.uint8)
-                    else:
+                    if (child.optimal and not incumbent.offer(child)
+                            and not incumbent.prunes(child.value)):
                         nxt.append(child)
             level = nxt
-    except LpSolverError:
-        return _solver_error(stats, t0)
-    stats.wall_time = time.perf_counter() - t0
-    if inc_point is None:
-        return DecodeResult(DecodeStatus.FRACTIONAL_FAILURE, x.copy(), root.value, stats)
-    return DecodeResult(DecodeStatus.CODEWORD_FOUND, inc_point, inc_val, stats)
+        return False
+
+    return _search_from_root(code, llr, "fs", search)
 
 
 def constant_depth_decode(code: LinearCode, llr, depth: int = 8,
@@ -523,39 +481,21 @@ def constant_depth_decode(code: LinearCode, llr, depth: int = 8,
     solution is integral wins.  Worst case C(depth, m) 2^m + 1 LPs."""
     if not 1 <= subset_size <= depth:
         raise ValueError("need 1 <= subset_size <= depth")
-    t0 = time.perf_counter()
-    llr = np.asarray(llr, dtype=float)
-    n = code.n
-    stats = DecodeStats(lp_solves=1)
-    try:
-        form = build_formulation(code, "fs", llr)
-        root = solve(form.lp)
-        if not root.optimal:
-            return _solver_error(stats, t0)
-        x = root.x[:n]
-        if _certified(code, x):
-            return _finish_lp_result(code, x, root.value, stats, t0)
-        frac = [j for j in range(n) if INTEGRALITY_TOL < x[j] < 1 - INTEGRALITY_TOL]
-        targets = sorted(frac, key=lambda j: (abs(x[j] - 0.5), j))[:depth]
-        m = min(subset_size, len(targets))
-        for combo in combinations(range(len(targets)), m):
-            positions = [targets[i] for i in combo]
-            best_val, best_x = math.inf, None
-            for bits in product((0.0, 1.0), repeat=m):
-                rows = [([(j, 1.0)], "=", b) for j, b in zip(positions, bits)]
-                cand = add_rows_resolve(root, rows)
+
+    def search(form, root, incumbent, stats):
+        targets = _least_certain(root.x[:code.n], depth)
+        for positions in combinations(targets, min(subset_size, len(targets))):
+            best = None
+            for bits in product((0.0, 1.0), repeat=len(positions)):
+                cand = fix_variable_resolve(root, positions, bits)
                 stats.lp_solves += 1
-                if cand.optimal and cand.value < best_val:
-                    best_val, best_x = cand.value, cand.x[:n]
-            if best_x is not None and _is_integral(best_x) and _is_codeword(code, best_x):
-                stats.wall_time = time.perf_counter() - t0
-                return DecodeResult(DecodeStatus.CODEWORD_FOUND,
-                                    np.round(best_x).astype(np.uint8),
-                                    best_val, stats)
-    except LpSolverError:
-        return _solver_error(stats, t0)
-    stats.wall_time = time.perf_counter() - t0
-    return DecodeResult(DecodeStatus.FRACTIONAL_FAILURE, x.copy(), root.value, stats)
+                if cand.optimal and (best is None or cand.value < best.value):
+                    best = cand
+            if best is not None and incumbent.offer(best):
+                break
+        return False
+
+    return _search_from_root(code, llr, "fs", search)
 
 
 def neighborhood_search(code: LinearCode, llr, exchange_depth: int = 1,
@@ -575,29 +515,12 @@ def neighborhood_search(code: LinearCode, llr, exchange_depth: int = 1,
     # GF(2) Jordan elimination of [H | s] with columns tried least reliable
     # first; pivot columns become the basic (solved) error positions.
     aug = [h.rows[i] | (int(s[i]) << n) for i in range(h.m)]
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    pr = 0
-    for col in order:
-        sel = -1
-        for i in range(pr, len(aug)):
-            if (aug[i] >> col) & 1:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        aug[pr], aug[sel] = aug[sel], aug[pr]
-        for i in range(len(aug)):
-            if i != pr and (aug[i] >> col) & 1:
-                aug[i] ^= aug[pr]
-        pivot_rows.append(pr)
-        pivot_cols.append(col)
-        pr += 1
-    for i in range(pr, len(aug)):
-        if (aug[i] >> n) & 1:
-            raise ValueError("inconsistent syndrome system: rank-deficient input")
-    free_cols = [j for j in order if j not in set(pivot_cols)]
+    pivot_cols = _gauss_jordan(aug, order)
     r = len(pivot_cols)
+    if any((word >> n) & 1 for word in aug[r:]):
+        raise ValueError("inconsistent syndrome system: rank-deficient input")
+    pivots = set(pivot_cols)
+    free_cols = [j for j in order if j not in pivots]
     # basic pattern and per-free-column flip masks over the pivot rows
     basic = np.array([(aug[t] >> n) & 1 for t in range(r)], dtype=bool)
     flip = {f: np.array([(aug[t] >> f) & 1 for t in range(r)], dtype=bool)
@@ -618,7 +541,7 @@ def neighborhood_search(code: LinearCode, llr, exchange_depth: int = 1,
     improved = True
     while improved and (max_moves is None or moves_done < max_moves):
         improved = False
-        best_delta, best_cols, best_mask = -1e-12, None, None
+        best_delta, best_cols, best_mask = -_TIE_EPS, None, None
         singles = [(f,) for f in free_cols]
         moves = singles if exchange_depth == 1 else \
             singles + [c for c in combinations(free_cols, 2)]

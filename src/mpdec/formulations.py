@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf2 import BinaryMatrix, LinearCode
+from .gf2 import BinaryMatrix, LinearCode, _gauss_jordan
 from .simplex import LpProblem, LpRow, make_problem
 
 MAX_CHECK_DEGREE = 25
@@ -58,16 +58,19 @@ class FsInequality:
         return float(lhs - self.rhs)
 
 
+def _subsets(support, parity: int) -> list[tuple[int, ...]]:
+    """Every subset of the support whose size has the given parity, smallest
+    first (for parity 0 the empty set leads)."""
+    return [s for r in range(parity, len(support) + 1, 2)
+            for s in combinations(support, r)]
+
+
 def fs_inequalities(support) -> list[FsInequality]:
     """All 2^(|N|-1) forbidden-set inequalities of one check neighborhood."""
     support = tuple(sorted(support))
     if not support:
         raise ValueError("empty support")
-    out = []
-    for r in range(1, len(support) + 1, 2):
-        for subset in combinations(support, r):
-            out.append(FsInequality(support, subset))
-    return out
+    return [FsInequality(support, subset) for subset in _subsets(support, 1)]
 
 
 @dataclass(frozen=True)
@@ -121,8 +124,7 @@ def build_config_lp(code: LinearCode, objective) -> Formulation:
         support = code.H.row_support(i)
         if not support:
             continue
-        evens = [()] + [s for r in range(2, len(support) + 1, 2)
-                        for s in combinations(support, r)]
+        evens = _subsets(support, 0)
         for s in evens:
             w_index[(i, s)] = cols
             cols += 1
@@ -275,8 +277,7 @@ def build_edge_lp(code: LinearCode, objective) -> Formulation:
         support = code.H.row_support(i)
         if not support:
             continue
-        evens = [()] + [s for r in range(2, len(support) + 1, 2)
-                        for s in combinations(support, r)]
+        evens = _subsets(support, 0)
         for s in evens:
             w_index[(i, s)] = cols
             cols += 1
@@ -460,24 +461,8 @@ def matrix_adaptation_cut_search(h: BinaryMatrix, x) -> list[FsInequality]:
     frac = _fractional_indices(x)
     if not frac:
         return []
-    order = sorted(frac, key=lambda j: (abs(x[j] - 0.5), j))
     rows = list(h.rows)
-    pr = 0
-    for col in order:
-        if pr >= len(rows):
-            break
-        sel = -1
-        for i in range(pr, len(rows)):
-            if (rows[i] >> col) & 1:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        rows[pr], rows[sel] = rows[sel], rows[pr]
-        for i in range(len(rows)):
-            if i != pr and (rows[i] >> col) & 1:
-                rows[i] ^= rows[pr]
-        pr += 1
+    _gauss_jordan(rows, sorted(frac, key=lambda j: (abs(x[j] - 0.5), j)))
     cuts: dict[tuple, FsInequality] = {}
     for word in rows:
         if not word:

@@ -68,6 +68,32 @@ class BinaryMatrix:
         return tuple(i for i, r in enumerate(self.rows) if (r >> j) & 1)
 
 
+def _gauss_jordan(rows: list[int], cols) -> list[int]:
+    """Gauss-Jordan elimination over GF(2), in place on bit-packed rows.
+
+    Pivots are tried in the given column order; returns the pivot columns,
+    and row t of the result is the unit row of pivot column t.
+    """
+    pivots: list[int] = []
+    for col in cols:
+        pr = len(pivots)
+        if pr >= len(rows):
+            break
+        sel = -1
+        for i in range(pr, len(rows)):
+            if (rows[i] >> col) & 1:
+                sel = i
+                break
+        if sel < 0:
+            continue
+        rows[pr], rows[sel] = rows[sel], rows[pr]
+        for i in range(len(rows)):
+            if i != pr and (rows[i] >> col) & 1:
+                rows[i] ^= rows[pr]
+        pivots.append(col)
+    return pivots
+
+
 def rref(mat: BinaryMatrix) -> tuple[BinaryMatrix, tuple[int, ...]]:
     """Reduced row echelon form over GF(2).
 
@@ -75,26 +101,8 @@ def rref(mat: BinaryMatrix) -> tuple[BinaryMatrix, tuple[int, ...]]:
     of the result are unit columns, so the operation is idempotent.
     """
     rows = list(mat.rows)
-    m, n = len(rows), mat.n
-    pivots = []
-    pr = 0
-    for col in range(n):
-        if pr >= m:
-            break
-        sel = -1
-        for i in range(pr, m):
-            if (rows[i] >> col) & 1:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        rows[pr], rows[sel] = rows[sel], rows[pr]
-        for i in range(m):
-            if i != pr and (rows[i] >> col) & 1:
-                rows[i] ^= rows[pr]
-        pivots.append(col)
-        pr += 1
-    return BinaryMatrix(n, tuple(rows)), tuple(pivots)
+    pivots = _gauss_jordan(rows, range(mat.n))
+    return BinaryMatrix(mat.n, tuple(rows)), tuple(pivots)
 
 
 def rank(mat: BinaryMatrix) -> int:

@@ -103,13 +103,20 @@ def simulate(config: SimConfig, on_frame=None) -> list[SimRecord]:
     return records
 
 
+def _point_text(point: float) -> str:
+    """The `:g` form when it reads back as the same float, else the shortest
+    exact one, so re-runs recognise every point they already wrote."""
+    text = f"{point:g}"
+    return text if float(text) == point else repr(float(point))
+
+
 def format_records_csv(records, include_header: bool = True) -> str:
     out = io.StringIO()
     if include_header:
         out.write(CSV_PREAMBLE + "\n")
         out.write(CSV_HEADER + "\n")
     for r in records:
-        out.write(f"{r.decoder},{r.point:g},{r.frames},{r.frame_errors},"
+        out.write(f"{r.decoder},{_point_text(r.point)},{r.frames},{r.frame_errors},"
                   f"{r.bit_errors},{r.ml_certified},{r.fractional},"
                   f"{r.avg_lp_solves:.6g},{r.avg_cuts:.6g},"
                   f"{r.avg_iterations:.6g},{r.ms_per_frame:.3f}\n")

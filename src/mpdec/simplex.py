@@ -9,8 +9,10 @@ Solver states are reusable: `add_rows_resolve` and `fix_variable_resolve`
 clone the state and re-solve with the dual simplex from the old basis,
 falling back to a from-scratch primal solve if that runs into trouble.
 
-Tolerances (stated once, reused repo-wide): feasibility/optimality 1e-9,
-integrality 1e-6.
+Tolerances (stated once, reused repo-wide): feasibility/optimality 1e-9
+(`FEAS_TOL`, `COST_TOL`; objective values that close count as tied),
+integrality 1e-6; inside the kernel, pivots below 1e-9 are rejected, steps
+and ratios within 1e-12 tie, and a warm basis must be dual feasible to 1e-7.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ COST_TOL = 1e-9
 INTEGRALITY_TOL = 1e-6
 
 _PIV_EPS = 1e-9
+_TIE_EPS = 1e-12
+_WARM_DUAL_TOL = 1e-7
 _REFACTOR_EVERY = 100
 _BLAND_AFTER = 50
 
@@ -83,16 +87,19 @@ class LpProblem:
                     raise ValueError(f"row index {j} out of range")
 
 
+def _as_rows(rows) -> tuple[LpRow, ...]:
+    return tuple(r if isinstance(r, LpRow)
+                 else LpRow(tuple((int(j), float(v)) for j, v in r[0]), r[1], float(r[2]))
+                 for r in rows)
+
+
 def make_problem(num_vars, objective, rows, lower=None, upper=None) -> LpProblem:
     """Convenience constructor; rows may be plain (coeffs, sense, rhs) tuples."""
     if lower is None:
         lower = [0.0] * num_vars
     if upper is None:
         upper = [1.0] * num_vars
-    lprows = tuple(r if isinstance(r, LpRow)
-                   else LpRow(tuple((int(j), float(v)) for j, v in r[0]), r[1], float(r[2]))
-                   for r in rows)
-    return LpProblem(num_vars, tuple(float(c) for c in objective), lprows,
+    return LpProblem(num_vars, tuple(float(c) for c in objective), _as_rows(rows),
                      tuple(float(v) for v in lower), tuple(float(v) for v in upper))
 
 
@@ -259,12 +266,12 @@ class _Engine:
         if not math.isfinite(t_star):
             return False
         t_star = max(t_star, 0.0)
-        self._degen = self._degen + 1 if t_star <= 1e-12 else 0
+        self._degen = self._degen + 1 if t_star <= _TIE_EPS else 0
         if t_flip <= t_min:
             self.x_basic += rate * t_flip
             self.status[q] = _AT_UPPER if self.status[q] == _AT_LOWER else _AT_LOWER
             return True
-        near = t_cand <= t_star + 1e-12
+        near = t_cand <= t_star + _TIE_EPS
         cand = np.flatnonzero(near)
         if self._degen >= _BLAND_AFTER:
             r = int(cand[np.argmin(self.basis[cand])])
@@ -382,12 +389,12 @@ class _Engine:
             denom = np.where(eligible, np.abs(alpha), 1.0)
             theta = np.where(eligible, mag_d / denom, math.inf)
             t_min = theta.min()
-            cand = np.flatnonzero(theta <= t_min + 1e-12)
+            cand = np.flatnonzero(theta <= t_min + _TIE_EPS)
             if self._degen >= _BLAND_AFTER:
                 q = int(cand[0])
             else:
                 q = int(cand[np.argmax(np.abs(alpha[cand]))])
-            self._degen = self._degen + 1 if t_min <= 1e-12 else 0
+            self._degen = self._degen + 1 if t_min <= _TIE_EPS else 0
             bound_r = self.lo[p] if going_up else self.hi[p]
             delta = (self.x_basic[r] - bound_r) / alpha[q]
             w = self.b_inv @ self.a[:, q]
@@ -409,6 +416,16 @@ class _Engine:
     def _iter_budget(self) -> int:
         return 5000 + 60 * (self.m + len(self.c))
 
+    def _confirmed_optimal(self) -> bool:
+        """Refactor, then check primal feasibility and that nothing prices in."""
+        self._refactor()
+        self._recompute_x_basic()
+        if self._max_violation() > FEAS_TOL:
+            return False
+        d = self._reduced_costs()
+        d[self.basis] = 0.0
+        return self._pick_entering(d) < 0
+
     def optimize_scratch(self) -> LpStatus:
         if self.bad_bounds:
             return LpStatus.INFEASIBLE
@@ -424,13 +441,8 @@ class _Engine:
             if not self._phase1(budget):
                 return LpStatus.INFEASIBLE
             self._phase2(budget)
-            self._refactor()
-            self._recompute_x_basic()
-            if self._max_violation() <= FEAS_TOL:
-                d = self._reduced_costs()
-                d[self.basis] = 0.0
-                if self._pick_entering(d) < 0:
-                    return LpStatus.OPTIMAL
+            if self._confirmed_optimal():
+                return LpStatus.OPTIMAL
         raise LpSolverError("could not confirm optimality")
 
     def optimize_warm(self) -> LpStatus:
@@ -440,30 +452,21 @@ class _Engine:
         d = self._reduced_costs()
         d[self.basis] = 0.0
         movable = self.hi - self.lo > 0
-        bad = (((self.status == _AT_LOWER) & (d < -1e-7) & movable)
-               | ((self.status == _AT_UPPER) & (d > 1e-7) & movable))
+        bad = (((self.status == _AT_LOWER) & (d < -_WARM_DUAL_TOL) & movable)
+               | ((self.status == _AT_UPPER) & (d > _WARM_DUAL_TOL) & movable))
         if bad.any():
             raise LpSolverError("warm basis is not dual feasible")
         budget = self._iter_budget()
         for _ in range(8):
-            res = self._dual_phase(budget)
-            if res is LpStatus.INFEASIBLE:
+            if self._dual_phase(budget) is LpStatus.INFEASIBLE:
                 return LpStatus.INFEASIBLE
-            self._refactor()
-            self._recompute_x_basic()
+            if self._confirmed_optimal():
+                return LpStatus.OPTIMAL
+            # primal feasible but not yet optimal: finish with primal pivots
             if self._max_violation() <= FEAS_TOL:
-                d = self._reduced_costs()
-                d[self.basis] = 0.0
-                if self._pick_entering(d) < 0:
-                    return LpStatus.OPTIMAL
                 self._phase2(budget)
-                self._refactor()
-                self._recompute_x_basic()
-                if (self._max_violation() <= FEAS_TOL):
-                    d = self._reduced_costs()
-                    d[self.basis] = 0.0
-                    if self._pick_entering(d) < 0:
-                        return LpStatus.OPTIMAL
+                if self._confirmed_optimal():
+                    return LpStatus.OPTIMAL
         raise LpSolverError("could not confirm optimality after warm restart")
 
     # -- state edits -----------------------------------------------------------
@@ -539,7 +542,7 @@ def _finish(engine: _Engine, status: LpStatus) -> LpSolution:
     if status is LpStatus.INFEASIBLE:
         return LpSolution(LpStatus.INFEASIBLE, None, math.inf, (), engine)
     acts = engine.row_activities()
-    active = tuple(int(i) for i in np.flatnonzero(np.abs(acts - engine.rhs) <= 1e-9))
+    active = tuple(int(i) for i in np.flatnonzero(np.abs(acts - engine.rhs) <= FEAS_TOL))
     return LpSolution(LpStatus.OPTIMAL, engine.structural_values(),
                       engine.objective_value(), active, engine)
 
@@ -561,20 +564,28 @@ def add_rows_resolve(solution: LpSolution, rows) -> LpSolution:
     """Re-optimize with extra rows appended; prior solution must be Optimal."""
     if not solution.optimal:
         raise ValueError("can only add rows to an optimal state")
-    lprows = tuple(r if isinstance(r, LpRow)
-                   else LpRow(tuple((int(j), float(v)) for j, v in r[0]), r[1], float(r[2]))
-                   for r in rows)
     engine = solution.state.clone()
-    engine.add_rows(lprows)
+    engine.add_rows(_as_rows(rows))
     return _resolve(engine)
 
 
-def fix_variable_resolve(solution: LpSolution, j: int, value: float) -> LpSolution:
-    """Re-optimize with variable j pinned to the given value."""
+def fix_variable_resolve(solution: LpSolution, j, value) -> LpSolution:
+    """Re-optimize with variable j pinned to the given value.
+
+    `j` and `value` may also be equal-length sequences: every listed
+    variable is pinned by its bounds in the same clone and one warm re-solve.
+    """
     if not solution.optimal:
         raise ValueError("can only fix variables on an optimal state")
+    if np.ndim(j) == 0:
+        j, value = (j,), (value,)
+    if len(j) != len(value):
+        raise ValueError("need one value per pinned variable")
+    if len(set(j)) != len(j):
+        raise ValueError("duplicate variable index")
     engine = solution.state.clone()
-    engine.set_bounds(j, value, value)
+    for jj, v in zip(j, value):
+        engine.set_bounds(int(jj), float(v), float(v))
     return _resolve(engine)
 
 

@@ -1,0 +1,24 @@
+"""Smoke test: each experiment script runs to completion on tiny inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+ARGS = {
+    "adaptive_lp_profile.py": ["--sizes", "30", "--trials", "5"],
+    "fractional_distance_report.py": ["--codes", "spc:3,3"],
+    "fer_comparison.py": ["--points", "0.05", "--errors", "2", "--max-frames", "20"],
+}
+
+
+@pytest.mark.parametrize("script", sorted(ARGS))
+def test_script_runs(script, tmp_path):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *ARGS[script]],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from mpdec.cli import load_code, main, parse_sim_config_text
-from mpdec.decoders import DecodeStatus, DecoderConfig
+from mpdec.decoders import DecodeStatus, DecoderConfig, lp_decode, make_decoder
 from mpdec.gf2 import load_alist, random_regular_ldpc
 from mpdec.sim import (SimConfig, SimRecord, fer_confidence,
                        format_records_csv, read_records_csv, simulate,
                        simulate_to_csv)
+
+from conftest import fractional_instance
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +105,8 @@ def test_csv_roundtrip(small_code):
 
 
 def test_csv_idempotent_rerun(tmp_path, small_code):
-    cfg = small_config(small_code, points=(0.03, 0.06))
+    # 0.0512345678 has no exact 6-digit %g form, so it must be written in full
+    cfg = small_config(small_code, points=(0.03, 0.06, 0.0512345678))
     path = str(tmp_path / "out.csv")
     simulate_to_csv(cfg, path)
     with open(path, "rb") as fh:
@@ -157,11 +160,20 @@ def test_parse_sim_config_text():
         "max_frames = 50\n"
         "min_frame_errors = 4\n"
         "master_seed = 11\n"
-        "decoder.depth = 4\n")
+        "decoder.depth = 4\n"
+        "decoder.max_depth = 3\n"
+        "decoder.num_faces = 5\n")
     assert cfg.points == (0.03, 0.06)
     assert cfg.decoders == ("lp", "min_sum")
     assert cfg.decoder_config.depth == 4
+    assert cfg.decoder_config.max_depth == 3
+    assert cfg.decoder_config.num_faces == 5
     assert cfg.master_seed == 11
+    # the None-default caps used to arrive as strings, and branching on a
+    # fractional root then crashed comparing the depth with max_depth
+    bb = make_decoder("branch_and_bound", cfg.decoder_config)
+    lam, _ = fractional_instance(cfg.code, np.random.default_rng(3), lp_decode)
+    assert bb(cfg.code, lam).stats.branch_nodes > 0
 
 
 def test_parse_sim_config_errors():
@@ -172,6 +184,12 @@ def test_parse_sim_config_errors():
     with pytest.raises(ValueError):
         parse_sim_config_text("code = spc:3,3\npoints = 0.1\ndecoders = lp\n"
                               "decoder.bogus = 1\n")
+    for bad in ("0", "-2", "three"):
+        with pytest.raises(ValueError, match="max_depth"):
+            parse_sim_config_text("code = spc:3,3\npoints = 0.1\ndecoders = lp\n"
+                                  f"decoder.max_depth = {bad}\n")
+    with pytest.raises(ValueError, match="num_faces"):
+        DecoderConfig(num_faces="5")
 
 
 def test_load_code_specs(tmp_path):

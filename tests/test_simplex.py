@@ -202,6 +202,41 @@ def test_fix_variable_children_bound_parent():
                 assert child.value >= sol.value - 1e-9
 
 
+def pin_three_ways(sol, js, vals):
+    """One multi-bit pin, chained single pins, and the pins as "=" rows."""
+    multi = fix_variable_resolve(sol, js, vals)
+    chained = sol
+    for j, v in zip(js, vals):
+        if chained.optimal:
+            chained = fix_variable_resolve(chained, j, v)
+    rows = add_rows_resolve(sol, [([(j, 1.0)], "=", v) for j, v in zip(js, vals)])
+    assert multi.status is chained.status is rows.status
+    if multi.optimal:
+        assert multi.value == pytest.approx(chained.value, abs=1e-9)
+        assert multi.value == pytest.approx(rows.value, abs=1e-9)
+        assert np.allclose(multi.x[list(js)], vals)
+    return multi
+
+
+def test_fix_variable_multi_bit_pin(code84):
+    from mpdec.formulations import build_fs_lp
+    rng = np.random.default_rng(61)
+    for _ in range(30):
+        sol = solve(build_fs_lp(code84, rng.standard_normal(8)).lp)
+        k = int(rng.integers(2, 4))
+        js = sorted(rng.choice(8, size=k, replace=False).tolist())
+        vals = [float(v) for v in rng.integers(0, 2, size=k)]
+        assert pin_three_ways(sol, js, vals).optimal
+    # all three bits of one parity check at 1 is an odd pattern: infeasible
+    sol = solve(make_problem(3, [-0.7, -1.3, 0.4], spc_fs_rows()))
+    assert pin_three_ways(sol, (0, 1), (1.0, 1.0)).optimal
+    assert pin_three_ways(sol, (0, 1, 2), (1.0, 1.0, 1.0)).status is LpStatus.INFEASIBLE
+    with pytest.raises(ValueError):
+        fix_variable_resolve(sol, (0, 1), (1.0,))
+    with pytest.raises(ValueError):
+        fix_variable_resolve(sol, (0, 0), (1.0, 0.0))
+
+
 def test_determinism():
     rng = np.random.default_rng(55)
     n, c, rows, lo, hi = random_lp(rng)
