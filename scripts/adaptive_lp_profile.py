@@ -11,10 +11,11 @@ Example:
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mpdec.channels import Biawgn, llr, transmit, trial_rng
 from mpdec.decoders import adaptive_lp_decode

@@ -11,8 +11,9 @@ Example:
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mpdec.cli import load_code
 from mpdec.decoders import DecoderConfig

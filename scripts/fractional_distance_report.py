@@ -12,9 +12,10 @@ Example:
 
 import argparse
 import sys
+from pathlib import Path
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mpdec.cli import load_code
 from mpdec.decoders import fractional_distance

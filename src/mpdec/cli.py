@@ -70,6 +70,14 @@ def cmd_decode(args) -> int:
     return 0
 
 
+def _config_number(key: str, value: str, kind):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{key} must be a number of type {kind.__name__}, "
+                         f"got {value!r}") from None
+
+
 def parse_sim_config_text(text: str) -> SimConfig:
     """Line-oriented key=value simulation config (see README for keys)."""
     kv: dict[str, str] = {}
@@ -81,8 +89,9 @@ def parse_sim_config_text(text: str) -> SimConfig:
             raise ValueError(f"bad config line: {line!r}")
         key, _, value = line.partition("=")
         kv[key.strip()] = value.strip()
-    if "code" not in kv:
-        raise ValueError("config needs a code= line")
+    for key in ("code", "points", "decoders"):
+        if key not in kv:
+            raise ValueError(f"config needs a {key}= line")
     code = load_code(kv["code"])
     dc_kwargs = {}
     fields = {f.name: f.type for f in dataclasses.fields(DecoderConfig)}
@@ -97,24 +106,18 @@ def parse_sim_config_text(text: str) -> SimConfig:
             elif isinstance(current, bool):
                 dc_kwargs[name] = value.lower() in ("1", "true", "yes")
             elif isinstance(current, (int, float)) or fields[name] == "int | None":
-                kind = float if isinstance(current, float) else int
-                try:
-                    dc_kwargs[name] = kind(value)
-                except ValueError:
-                    raise ValueError(f"decoder.{name} must be a number of type "
-                                     f"{kind.__name__}, got {value!r}") from None
+                dc_kwargs[name] = _config_number(
+                    key, value, float if isinstance(current, float) else int)
             else:
                 dc_kwargs[name] = value
     return SimConfig(
         code=code,
         channel=kv.get("channel", "bsc"),
-        points=tuple(float(t) for t in kv["points"].split(",")),
+        points=tuple(_config_number("points", t, float) for t in kv["points"].split(",")),
         decoders=tuple(t.strip() for t in kv["decoders"].split(",")),
         decoder_config=DecoderConfig(**dc_kwargs),
-        max_frames=int(kv.get("max_frames", 1_000_000)),
-        min_frame_errors=int(kv.get("min_frame_errors", 100)),
-        master_seed=int(kv.get("master_seed", 0)),
-    )
+        **{key: _config_number(key, kv[key], int) for key in
+           ("max_frames", "min_frame_errors", "master_seed") if key in kv})
 
 
 def cmd_simulate(args) -> int:

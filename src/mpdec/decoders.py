@@ -212,7 +212,6 @@ def adaptive_lp_decode(code: LinearCode, llr, drop_inactive: bool = False,
     stats = DecodeStats()
     if max_iterations is None:
         max_iterations = n if not drop_inactive else 10 * n + 20
-    supports = [h.row_support(i) for i in range(h.m)]
     try:
         sol = solve(make_problem(n, llr, []))
         stats.lp_solves += 1
@@ -228,7 +227,7 @@ def adaptive_lp_decode(code: LinearCode, llr, drop_inactive: bool = False,
                         skip.add(ci)
                 current = kept
             new = []
-            for i, support in enumerate(supports):
+            for i, support in enumerate(h.layout.supports):
                 if support and i not in skip:
                     cut = most_violated_fs_cut(support, x)
                     if cut is not None:
@@ -565,56 +564,48 @@ def neighborhood_search(code: LinearCode, llr, exchange_depth: int = 1,
 
 def _message_passing(code: LinearCode, llr, max_iterations: int,
                      use_min_sum: bool) -> DecodeResult:
+    """Flooding on the padded check-major layout, a few whole-array ops per
+    iteration, bit-identical to applying each check's rule in turn.  Padding
+    carries c2v = 0 into the dummy column n: an edgeless check sends nothing."""
     t0 = time.perf_counter()
     llr = np.asarray(llr, dtype=float)
     n = code.n
     stats = DecodeStats()
-    edges_i, edges_j = [], []
-    for i in range(code.m):
-        for j in code.H.row_support(i):
-            edges_i.append(i)
-            edges_j.append(j)
-    edges_i = np.array(edges_i, dtype=int)
-    edges_j = np.array(edges_j, dtype=int)
-    check_slices = [np.flatnonzero(edges_i == i) for i in range(code.m)]
-    c2v = np.zeros(len(edges_i))
-    posterior = llr.copy()
+    cols, mask = code.H.layout.cols, code.H.layout.mask
+    positions = np.arange(cols.shape[1])
+    c2v = np.zeros(cols.shape)
+    totals = np.append(llr + 0.0, 0.0)  # llr plus the sums of c2v = 0
     for it in range(1, max_iterations + 1):
         stats.iterations = it
-        totals = llr + np.bincount(edges_j, weights=c2v, minlength=n)
-        v2c = np.clip(totals[edges_j] - c2v, -50.0, 50.0)
-        for idx in check_slices:
-            mu = v2c[idx]
-            if use_min_sum:
-                if len(mu) == 1:
-                    c2v[idx] = 50.0
-                    continue
-                signs = np.where(mu < 0, -1.0, 1.0)
-                sign_all = np.prod(signs)
-                mags = np.abs(mu)
-                o = np.argsort(mags)
-                m1, m2 = mags[o[0]], mags[o[1]]
-                out = sign_all * signs * np.where(np.arange(len(mu)) == o[0], m2, m1)
-            else:
-                t = np.tanh(mu / 2.0)
-                d = len(t)
-                front = np.ones(d)
-                back = np.ones(d)
-                for a in range(1, d):
-                    front[a] = front[a - 1] * t[a - 1]
-                for a in range(d - 2, -1, -1):
-                    back[a] = back[a + 1] * t[a + 1]
-                prod_excl = np.clip(front * back, -0.9999999999, 0.9999999999)
-                out = 2.0 * np.arctanh(prod_excl)
-            c2v[idx] = np.clip(out, -50.0, 50.0)
-        posterior = llr + np.bincount(edges_j, weights=c2v, minlength=n)
-        bits = (posterior < 0).astype(np.uint8)
+        v2c = np.clip(totals[cols] - c2v, -50.0, 50.0)
+        if use_min_sum:
+            # sign parity, then the smallest magnitude goes to every edge but
+            # its own, which gets the second smallest (+inf past degree 1)
+            signs = np.where(mask & (v2c < 0), -1.0, 1.0)
+            mags = np.where(mask, np.abs(v2c), np.inf)
+            low = mags.argmin(axis=1)[:, None]
+            m1 = np.take_along_axis(mags, low, axis=1)
+            np.put_along_axis(mags, low, np.inf, axis=1)
+            m2 = mags.min(axis=1, keepdims=True)
+            out = signs.prod(axis=1, keepdims=True) * signs * np.where(
+                positions == low, m2, m1)
+        else:
+            # exclusive prefix and suffix products, padding with 1.0
+            t = np.where(mask, np.tanh(v2c / 2.0), 1.0)
+            ones = np.ones((len(t), 1))
+            front = np.cumprod(np.hstack([ones, t[:, :-1]]), axis=1)
+            back = np.cumprod(np.hstack([ones, t[:, :0:-1]]), axis=1)[:, ::-1]
+            out = 2.0 * np.arctanh(np.clip(front * back, -0.9999999999, 0.9999999999))
+        c2v = np.where(mask, np.clip(out, -50.0, 50.0), 0.0)
+        totals = np.bincount(cols.ravel(), weights=c2v.ravel(), minlength=n + 1)
+        totals[:n] += llr
+        bits = (totals[:n] < 0).astype(np.uint8)
         if not syndrome(code.H, bits).any():
             stats.wall_time = time.perf_counter() - t0
             return DecodeResult(DecodeStatus.CODEWORD_FOUND, bits,
                                 float(llr @ bits), stats)
     stats.wall_time = time.perf_counter() - t0
-    probs = 1.0 / (1.0 + np.exp(np.clip(posterior, -50, 50)))
+    probs = 1.0 / (1.0 + np.exp(np.clip(totals[:n], -50, 50)))
     return DecodeResult(DecodeStatus.FRACTIONAL_FAILURE, probs,
                         float(llr @ probs), stats)
 

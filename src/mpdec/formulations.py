@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf2 import BinaryMatrix, LinearCode, _gauss_jordan
+from .gf2 import BinaryMatrix, LinearCode, _gauss_jordan, set_bits
 from .simplex import LpProblem, LpRow, make_problem
 
 MAX_CHECK_DEGREE = 25
@@ -103,8 +103,7 @@ def build_fs_lp(code: LinearCode, objective) -> Formulation:
     """Forbidden-set description: one inequality per odd subset per check."""
     _guard_degree(code)
     rows, tags = [], []
-    for i in range(code.m):
-        support = code.H.row_support(i)
+    for i, support in enumerate(code.H.layout.supports):
         if not support:
             continue
         for ineq in fs_inequalities(support):
@@ -120,8 +119,7 @@ def build_config_lp(code: LinearCode, objective) -> Formulation:
     cols = code.n
     w_index: dict[tuple[int, tuple[int, ...]], int] = {}
     rows, tags = [], []
-    for i in range(code.m):
-        support = code.H.row_support(i)
+    for i, support in enumerate(code.H.layout.supports):
         if not support:
             continue
         evens = _subsets(support, 0)
@@ -145,8 +143,7 @@ def build_count_lp(code: LinearCode, objective) -> Formulation:
     cols = code.n
     rows, tags = [], []
     p_index, q_index = {}, {}
-    for i in range(code.m):
-        support = code.H.row_support(i)
+    for i, support in enumerate(code.H.layout.supports):
         if not support:
             continue
         ks = list(range(0, len(support) + 1, 2))
@@ -190,8 +187,7 @@ def decompose_checks(code: LinearCode) -> tuple[LinearCode, dict[int, tuple[int,
     new_rows: list[int] = []
     aux_map: dict[int, tuple[int, int]] = {}
     next_col = n
-    for i in range(code.m):
-        support = code.H.row_support(i)
+    for i, support in enumerate(code.H.layout.supports):
         d = len(support)
         if d <= 3:
             new_rows.append(code.H.rows[i])
@@ -204,14 +200,8 @@ def decompose_checks(code: LinearCode) -> tuple[LinearCode, dict[int, tuple[int,
         for t in range(1, d - 3):
             chain.append((aux[t - 1], support[t + 1], aux[t]))
         chain.append((aux[-1], support[d - 2], support[d - 1]))
-        for members in chain:
-            word = 0
-            for j in members:
-                word |= 1 << j
-            new_rows.append(word)
-    width = max(next_col, n)
-    rows = tuple(r for r in new_rows)
-    return LinearCode(BinaryMatrix(width, rows)), aux_map
+        new_rows.extend(sum(1 << j for j in members) for members in chain)
+    return LinearCode(BinaryMatrix(max(next_col, n), tuple(new_rows))), aux_map
 
 
 def build_cascade_lp(code: LinearCode, objective) -> Formulation:
@@ -222,8 +212,7 @@ def build_cascade_lp(code: LinearCode, objective) -> Formulation:
     """
     decomposed, _ = decompose_checks(code)
     rows, tags = [], []
-    for k in range(decomposed.m):
-        support = decomposed.H.row_support(k)
+    for k, support in enumerate(decomposed.H.layout.supports):
         if not support:
             continue
         if len(support) == 2:
@@ -273,8 +262,7 @@ def build_edge_lp(code: LinearCode, objective) -> Formulation:
             rows.append(LpRow(((u_index[(j, i)], 1.0),
                                (v_index[(i, j)], -1.0)), "=", 0.0))
             tags.append(("edge_uv", i, j))
-    for i in range(code.m):
-        support = code.H.row_support(i)
+    for i, support in enumerate(code.H.layout.supports):
         if not support:
             continue
         evens = _subsets(support, 0)
@@ -299,8 +287,7 @@ def build_parity_relax_lp(code: LinearCode, objective) -> Formulation:
     rows, tags = [], []
     lower = [0.0] * code.n
     upper = [1.0] * code.n
-    for i in range(code.m):
-        support = code.H.row_support(i)
+    for i, support in enumerate(code.H.layout.supports):
         if not support:
             continue
         z = cols
@@ -357,15 +344,8 @@ def most_violated_fs_cut(support, x, tol: float = CUT_TOL) -> FsInequality | Non
 
 def row_fs_cuts(h: BinaryMatrix, x, tol: float = CUT_TOL) -> list[FsInequality]:
     """Per-row separation: the most violated FS inequality of every check."""
-    cuts = []
-    for i in range(h.m):
-        support = h.row_support(i)
-        if not support:
-            continue
-        cut = most_violated_fs_cut(support, x, tol)
-        if cut is not None:
-            cuts.append(cut)
-    return cuts
+    cuts = [most_violated_fs_cut(s, x, tol) for s in h.layout.supports if s]
+    return [cut for cut in cuts if cut is not None]
 
 
 def rpc_from_rows(h: BinaryMatrix, row_indices) -> tuple[int, ...]:
@@ -378,7 +358,7 @@ def rpc_from_rows(h: BinaryMatrix, row_indices) -> tuple[int, ...]:
         word ^= h.rows[i]
     if word == 0:
         raise ValueError("rows cancel: the combination is the zero dual codeword")
-    return tuple(j for j in range(h.n) if (word >> j) & 1)
+    return set_bits(word)
 
 
 def _fractional_indices(x, tol: float = FRAC_TOL) -> list[int]:
@@ -402,8 +382,8 @@ def rpc_cycle_cut_search(h: BinaryMatrix, x, rng_seed: int = 0,
     frac_set = set(frac)
     var_adj = {j: [] for j in frac}
     check_adj: dict[int, list[int]] = {}
-    for i in range(h.m):
-        members = [j for j in h.row_support(i) if j in frac_set]
+    for i, support in enumerate(h.layout.supports):
+        members = [j for j in support if j in frac_set]
         if len(members) >= 2:
             check_adj[i] = members
             for j in members:
@@ -438,7 +418,7 @@ def rpc_cycle_cut_search(h: BinaryMatrix, x, rng_seed: int = 0,
                     for i in checks:
                         word ^= h.rows[i]
                     if word:
-                        support = tuple(j for j in range(h.n) if (word >> j) & 1)
+                        support = set_bits(word)
                         cut = most_violated_fs_cut(support, x)
                         if cut is not None:
                             cuts[(cut.support, cut.odd_subset)] = cut
@@ -467,7 +447,7 @@ def matrix_adaptation_cut_search(h: BinaryMatrix, x) -> list[FsInequality]:
     for word in rows:
         if not word:
             continue
-        support = tuple(j for j in range(h.n) if (word >> j) & 1)
+        support = set_bits(word)
         cut = most_violated_fs_cut(support, x)
         if cut is not None:
             cuts[(cut.support, cut.odd_subset)] = cut

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,24 @@ def pack_bits(bits) -> int:
 def unpack_bits(word: int, n: int) -> np.ndarray:
     """Unpack an int bitset into a length-n uint8 vector."""
     return np.array([(word >> j) & 1 for j in range(n)], dtype=np.uint8)
+
+
+def set_bits(word: int) -> tuple[int, ...]:
+    """Ascending indices of the set bits of an int bitset."""
+    out = []
+    while word:
+        low = word & -word
+        out.append(low.bit_length() - 1)
+        word ^= low
+    return tuple(out)
+
+
+class CheckLayout(NamedTuple):
+    """Check-major Tanner adjacency of an (m, n) parity-check matrix."""
+
+    supports: tuple[tuple[int, ...], ...]  # the columns of each row, ascending
+    cols: np.ndarray  # (m, w) supports padded with the dummy column n; w >= 1
+    mask: np.ndarray  # (m, w) True on the real entries; both arrays read-only
 
 
 @dataclass(frozen=True)
@@ -60,9 +79,20 @@ class BinaryMatrix:
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
+    @cached_property
+    def layout(self) -> CheckLayout:
+        """The check-major layout, built on first use."""
+        supports = tuple(map(set_bits, self.rows))
+        cols = np.full((self.m, max(map(len, supports), default=0) or 1), self.n,
+                       dtype=np.intp)
+        for i, support in enumerate(supports):
+            cols[i, :len(support)] = support
+        mask = cols < self.n
+        cols.flags.writeable = mask.flags.writeable = False
+        return CheckLayout(supports, cols, mask)
+
     def row_support(self, i: int) -> tuple[int, ...]:
-        r = self.rows[i]
-        return tuple(j for j in range(self.n) if (r >> j) & 1)
+        return self.layout.supports[i]
 
     def column_support(self, j: int) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.rows) if (r >> j) & 1)
@@ -114,8 +144,9 @@ def syndrome(h: BinaryMatrix, x) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (h.n,):
         raise ValueError(f"expected a length-{h.n} vector, got shape {x.shape}")
-    word = pack_bits(int(b) % 2 for b in x)
-    return np.array([(r & word).bit_count() & 1 for r in h.rows], dtype=np.uint8)
+    padded = np.zeros(h.n + 1, dtype=np.int64)
+    padded[:h.n] = x  # truncates toward zero, as int() does
+    return (padded[h.layout.cols].sum(axis=1) & 1).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -182,9 +213,8 @@ class TannerGraph:
 
     @classmethod
     def from_matrix(cls, h: BinaryMatrix) -> "TannerGraph":
-        checks = tuple(h.row_support(i) for i in range(h.m))
         variables = tuple(h.column_support(j) for j in range(h.n))
-        return cls(checks, variables)
+        return cls(h.layout.supports, variables)
 
 
 def girth(graph: TannerGraph) -> float:
@@ -287,9 +317,8 @@ def ml_bruteforce(code: LinearCode, llr) -> tuple[np.ndarray, float]:
         sign = word & g
         word ^= g
         # incremental objective: bits newly set add, bits cleared subtract
-        for j in range(code.n):
-            if (g >> j) & 1:
-                val += -llr[j] if (sign >> j) & 1 else llr[j]
+        for j in set_bits(g):
+            val += -llr[j] if (sign >> j) & 1 else llr[j]
         if val < best_val - 1e-15 or (abs(val - best_val) <= 1e-15
                                       and _lex_key(word, code.n) < _lex_key(best_word, code.n)):
             best_word, best_val = word, val

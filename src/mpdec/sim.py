@@ -158,10 +158,7 @@ def simulate_to_csv(config: SimConfig, path: str, on_frame=None) -> list[SimReco
         one = replace(config, points=(p,))
         records.extend(simulate_one_point(one, index_of[p], on_frame))
     with open(path, "a") as fh:
-        if not existing:
-            fh.write(CSV_PREAMBLE + "\n")
-            fh.write(CSV_HEADER + "\n")
-        fh.write(format_records_csv(records, include_header=False))
+        fh.write(format_records_csv(records, include_header=not existing))
     with open(path) as fh:
         return read_records_csv(fh.read())
 

@@ -11,7 +11,7 @@ from mpdec.gf2 import (BinaryMatrix, LinearCode, TannerGraph,
                        enumerate_codewords, girth, load_alist,
                        min_distance_bruteforce, ml_bruteforce, pack_bits,
                        random_regular_ldpc, rank, rref, save_alist,
-                       spc_product_code, syndrome, unpack_bits)
+                       set_bits, spc_product_code, syndrome, unpack_bits)
 
 from conftest import H84_ARRAY
 
@@ -80,6 +80,47 @@ def test_syndrome_unit_vector_gives_column(code84):
 def test_syndrome_length_mismatch(code84):
     with pytest.raises(ValueError):
         syndrome(code84.H, [0, 1])
+    with pytest.raises(ValueError):
+        syndrome(code84.H, np.zeros((2, 8), dtype=np.uint8))
+
+
+def _packed_syndrome(h, x):
+    # the bit-packed definition: parity of popcount(row & x) with x_j = int(x_j) mod 2
+    word = pack_bits(int(b) % 2 for b in x)
+    return np.array([(r & word).bit_count() & 1 for r in h.rows], dtype=np.uint8)
+
+
+def test_syndrome_matches_packed_definition():
+    rng = np.random.default_rng(12)
+    mats = [random_regular_ldpc(24, 3, 6, seed=3).H,
+            BinaryMatrix(5, (0b10011, 0, 0b00001, 0b11111)),
+            BinaryMatrix(3, ())]
+    for h in mats:
+        for _ in range(20):
+            ints = rng.integers(-5, 6, size=h.n)
+            for x in (ints, ints.astype(np.int8), (ints % 2).astype(np.uint8),
+                      (ints % 2).astype(bool), (ints % 2).astype(float),
+                      (ints % 2).tolist()):
+                got = syndrome(h, x)
+                assert got.dtype == np.uint8
+                assert got.tolist() == _packed_syndrome(h, np.asarray(x)).tolist()
+
+
+@given(st.integers(0, 2 ** 300))
+def test_set_bits_ascending(word):
+    assert set_bits(word) == tuple(j for j in range(word.bit_length()) if (word >> j) & 1)
+
+
+def test_check_layout_is_lazy_and_padded():
+    h = BinaryMatrix.from_array([[1, 1, 0, 0], [0, 1, 1, 1], [0, 0, 0, 0]])
+    assert "layout" not in vars(h)
+    assert [h.row_support(i) for i in range(h.m)] == [(0, 1), (1, 2, 3), ()]
+    assert h.layout.cols.tolist() == [[0, 1, 4], [1, 2, 3], [4, 4, 4]]
+    assert h.layout.mask.tolist() == [[True, True, False], [True, True, True],
+                                      [False, False, False]]
+    assert not h.layout.cols.flags.writeable
+    assert TannerGraph.from_matrix(h).check_neighbors == h.layout.supports
+    assert TannerGraph.from_matrix(h).var_neighbors == ((0,), (0, 1), (1,), (1,))
 
 
 def test_enumerate_spc3():

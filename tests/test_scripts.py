@@ -17,8 +17,9 @@ ARGS = {
 
 @pytest.mark.parametrize("script", sorted(ARGS))
 def test_script_runs(script, tmp_path):
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    # started from a foreign directory with no PYTHONPATH, the script must
+    # still find the package next to it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *ARGS[script]],
-                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -192,6 +192,26 @@ def test_parse_sim_config_errors():
         DecoderConfig(num_faces="5")
 
 
+def test_parse_sim_config_names_the_bad_key():
+    base = {"code": "spc:3,3", "points": "0.1", "decoders": "lp"}
+
+    def text(**overrides):
+        kv = {**base, **overrides}
+        return "".join(f"{k} = {v}\n" for k, v in kv.items() if v is not None)
+
+    parse_sim_config_text(text())
+    for key in ("code", "points", "decoders"):
+        with pytest.raises(ValueError, match=f"{key}="):
+            parse_sim_config_text(text(**{key: None}))
+    for key in ("max_frames", "min_frame_errors", "master_seed"):
+        for bad in ("abc", "1.5", ""):
+            with pytest.raises(ValueError, match=key):
+                parse_sim_config_text(text(**{key: bad}))
+    for bad in ("0.1,x", "0.1,,0.2", ""):
+        with pytest.raises(ValueError, match="points"):
+            parse_sim_config_text(text(points=bad))
+
+
 def test_load_code_specs(tmp_path):
     code = load_code("random:12,3,4,5")
     assert code.n == 12
