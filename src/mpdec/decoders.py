@@ -36,12 +36,26 @@ class DecodeStatus(Enum):
 
 @dataclass
 class DecodeStats:
+    """Per-decode counts; `pivots`, `refactors` and `warm_fallbacks` sum the
+    kernel work of every LP solve the decode finished."""
+
     lp_solves: int = 0
     cuts_added: int = 0
     iterations: int = 0
     branch_nodes: int = 0
     wall_time: float = 0.0
     final_rows: int = 0
+    pivots: int = 0
+    refactors: int = 0
+    warm_fallbacks: int = 0
+
+    def tally(self, sol: LpSolution) -> LpSolution:
+        """Count one finished LP solve; returns it."""
+        self.lp_solves += 1
+        self.pivots += sol.pivots
+        self.refactors += sol.refactors
+        self.warm_fallbacks += sol.warm_fallback
+        return sol
 
 
 @dataclass
@@ -104,10 +118,11 @@ def _solver_error(stats: DecodeStats, t0: float) -> DecodeResult:
     return DecodeResult(DecodeStatus.SOLVER_ERROR, None, math.nan, stats)
 
 
-def _root(code: LinearCode, llr, formulation: str) -> tuple[Formulation, LpSolution]:
+def _root(code: LinearCode, llr, formulation: str,
+          stats: DecodeStats) -> tuple[Formulation, LpSolution]:
     """Build and solve the root relaxation; LpSolverError unless optimal."""
     form = build_formulation(code, formulation, llr)
-    sol = solve(form.lp)
+    sol = stats.tally(solve(form.lp))
     if not sol.optimal:
         raise LpSolverError("root relaxation not optimal")
     return form, sol
@@ -116,13 +131,16 @@ def _root(code: LinearCode, llr, formulation: str) -> tuple[Formulation, LpSolut
 class _Incumbent:
     """The best integral codeword a search has met.
 
-    A candidate wins when its value is lower by more than COST_TOL, or ties
-    within COST_TOL and is lexicographically smaller: the brute-force
-    oracle's convention.  Searches prune nodes that cannot win.
+    Its value is the codeword's exact cost llr @ point, not the LP value of
+    the solve that found it.  A candidate wins when that cost is lower by
+    more than COST_TOL, or ties within COST_TOL and is lexicographically
+    smaller: the brute-force oracle's convention.  Searches prune nodes that
+    cannot win.
     """
 
-    def __init__(self, code: LinearCode):
+    def __init__(self, code: LinearCode, llr: np.ndarray):
         self.code = code
+        self.llr = llr
         self.value = math.inf
         self.point: np.ndarray | None = None
 
@@ -132,10 +150,11 @@ class _Incumbent:
         if not _certified(self.code, x):
             return False
         point = np.round(x).astype(np.uint8)
-        if (sol.value < self.value - COST_TOL
-                or (abs(sol.value - self.value) <= COST_TOL and self.point is not None
+        value = float(self.llr @ point)
+        if (value < self.value - COST_TOL
+                or (abs(value - self.value) <= COST_TOL and self.point is not None
                     and tuple(point) < tuple(self.point))):
-            self.value = min(self.value, sol.value)
+            self.value = value
             self.point = point
         return True
 
@@ -155,11 +174,11 @@ class _Incumbent:
         return DecodeResult(status, self.point, self.value, stats)
 
 
-def _finish_lp_result(code: LinearCode, sol: LpSolution, stats: DecodeStats,
-                      t0: float) -> DecodeResult:
+def _finish_lp_result(code: LinearCode, llr: np.ndarray, sol: LpSolution,
+                      stats: DecodeStats, t0: float) -> DecodeResult:
     """ML_CERTIFIED if the optimum sol is an integral codeword, else
     FRACTIONAL_FAILURE."""
-    incumbent = _Incumbent(code)
+    incumbent = _Incumbent(code, llr)
     return incumbent.result(incumbent.offer(sol), sol, stats, t0)
 
 
@@ -176,10 +195,11 @@ def _search_from_root(code: LinearCode, llr, formulation: str,
     SOLVER_ERROR.
     """
     t0 = time.perf_counter()
-    stats = DecodeStats(lp_solves=1)
-    incumbent = _Incumbent(code)
+    llr = np.asarray(llr, dtype=float)
+    stats = DecodeStats()
+    incumbent = _Incumbent(code, llr)
     try:
-        form, root = _root(code, np.asarray(llr, dtype=float), formulation)
+        form, root = _root(code, llr, formulation, stats)
         stats.final_rows = len(form.lp.rows)
         complete = incumbent.offer(root)
         if not complete and search is not None:
@@ -213,8 +233,7 @@ def adaptive_lp_decode(code: LinearCode, llr, drop_inactive: bool = False,
     if max_iterations is None:
         max_iterations = n if not drop_inactive else 10 * n + 20
     try:
-        sol = solve(make_problem(n, llr, []))
-        stats.lp_solves += 1
+        sol = stats.tally(solve(make_problem(n, llr, [])))
         current: list[tuple[int, FsInequality]] = []
         while True:
             x = sol.x[:n]
@@ -240,7 +259,7 @@ def adaptive_lp_decode(code: LinearCode, llr, drop_inactive: bool = False,
                     n, llr, [ineq.as_lp_row() for _, ineq in current]))
             else:
                 sol = add_rows_resolve(sol, [ineq.as_lp_row() for _, ineq in new])
-            stats.lp_solves += 1
+            stats.tally(sol)
             stats.cuts_added += len(new)
             stats.iterations += 1
             if stats.iterations > max_iterations:
@@ -250,7 +269,7 @@ def adaptive_lp_decode(code: LinearCode, llr, drop_inactive: bool = False,
     except LpSolverError:
         return _solver_error(stats, t0)
     stats.final_rows = len(current)
-    return _finish_lp_result(code, sol, stats, t0)
+    return _finish_lp_result(code, llr, sol, stats, t0)
 
 
 _SEARCHERS = {
@@ -272,11 +291,11 @@ def cutting_plane_decode(code: LinearCode, llr, searchers=("adaptation",),
     """
     t0 = time.perf_counter()
     llr = np.asarray(llr, dtype=float)
-    stats = DecodeStats(lp_solves=1)
+    stats = DecodeStats()
     chain = [_SEARCHERS[s] if isinstance(s, str) else s for s in searchers]
     seen: set[tuple] = set()
     try:
-        form, sol = _root(code, llr, base)
+        form, sol = _root(code, llr, base, stats)
         for _ in range(max_rounds):
             if not sol.optimal:
                 return _solver_error(stats, t0)
@@ -295,14 +314,13 @@ def cutting_plane_decode(code: LinearCode, llr, searchers=("adaptation",),
                 break
             for c in cuts:
                 seen.add((c.support, c.odd_subset))
-            sol = add_rows_resolve(sol, [c.as_lp_row() for c in cuts])
-            stats.lp_solves += 1
+            sol = stats.tally(add_rows_resolve(sol, [c.as_lp_row() for c in cuts]))
             stats.cuts_added += len(cuts)
             stats.iterations += 1
     except LpSolverError:
         return _solver_error(stats, t0)
     stats.final_rows = len(form.lp.rows) + stats.cuts_added
-    return _finish_lp_result(code, sol, stats, t0)
+    return _finish_lp_result(code, llr, sol, stats, t0)
 
 
 def fractional_distance(code: LinearCode, formulation: str = "fs") -> float:
@@ -313,7 +331,7 @@ def fractional_distance(code: LinearCode, formulation: str = "fs") -> float:
     optimum over those faces is the fractional distance.  With the
     cascade formulation only full-support degree-3 rows are used.
     """
-    form, base = _root(code, np.ones(code.n), formulation)
+    form, base = _root(code, np.ones(code.n), formulation, DecodeStats())
     best = math.inf
     for row, tag in zip(form.lp.rows, form.row_tags):
         if tag[0] != "fs" or row.rhs <= 0:
@@ -360,9 +378,8 @@ def facet_guessing_decode(code: LinearCode, llr, mode: str = "exhaustive",
             idx = rng.choice(len(faces), size=num_faces, replace=False)
             faces = [faces[int(i)] for i in sorted(idx)]
         for rows, pin in faces:
-            cand = (add_rows_resolve(root, rows) if pin is None
-                    else fix_variable_resolve(root, *pin))
-            stats.lp_solves += 1
+            cand = stats.tally(add_rows_resolve(root, rows) if pin is None
+                               else fix_variable_resolve(root, *pin))
             if cand.optimal:
                 incumbent.offer(cand)
         return False
@@ -382,8 +399,7 @@ def bit_guessing_decode(code: LinearCode, llr, c: float = 1.0,
         rng = np.random.default_rng(rng_seed)
         positions = sorted(int(j) for j in rng.choice(code.n, size=k, replace=False))
         for bits in product((0.0, 1.0), repeat=k):
-            cand = fix_variable_resolve(root, positions, bits)
-            stats.lp_solves += 1
+            cand = stats.tally(fix_variable_resolve(root, positions, bits))
             if cand.optimal:
                 incumbent.offer(cand)
         return False
@@ -436,9 +452,8 @@ def branch_and_bound_decode(code: LinearCode, llr, formulation: str = "fs",
             parent, j, v, depth, fixed = stack.pop()
             if incumbent.prunes(parent.value):
                 continue
-            child = fix_variable_resolve(parent, j, v)
+            child = stats.tally(fix_variable_resolve(parent, j, v))
             stats.branch_nodes += 1
-            stats.lp_solves += 1
             if (child.optimal and not incumbent.offer(child)
                     and not incumbent.prunes(child.value)):
                 branch(child, depth, fixed)
@@ -461,8 +476,7 @@ def variable_depth_decode(code: LinearCode, llr, depth: int = 8) -> DecodeResult
                 if incumbent.prunes(sol.value):
                     continue
                 for v in (0.0, 1.0):
-                    child = fix_variable_resolve(sol, t, v)
-                    stats.lp_solves += 1
+                    child = stats.tally(fix_variable_resolve(sol, t, v))
                     stats.branch_nodes += 1
                     if (child.optimal and not incumbent.offer(child)
                             and not incumbent.prunes(child.value)):
@@ -486,8 +500,7 @@ def constant_depth_decode(code: LinearCode, llr, depth: int = 8,
         for positions in combinations(targets, min(subset_size, len(targets))):
             best = None
             for bits in product((0.0, 1.0), repeat=len(positions)):
-                cand = fix_variable_resolve(root, positions, bits)
-                stats.lp_solves += 1
+                cand = stats.tally(fix_variable_resolve(root, positions, bits))
                 if cand.optimal and (best is None or cand.value < best.value):
                     best = cand
             if best is not None and incumbent.offer(best):

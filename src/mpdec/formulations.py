@@ -312,11 +312,25 @@ _BUILDERS = {
 
 
 def build_formulation(code: LinearCode, kind: str, objective) -> Formulation:
+    """The `kind` relaxation of the code under a length-n objective.
+
+    The rows are built and validated once per (code, kind), on the first
+    call, and kept in `code.lp_cache`; later calls only swap in the objective,
+    padded with zeros over the auxiliary columns as every builder pads it.
+    """
     try:
         builder = _BUILDERS[kind]
     except KeyError:
         raise ValueError(f"unknown formulation {kind!r}; options: {FORMULATIONS}")
-    return builder(code, objective)
+    objective = np.asarray(objective, dtype=float)
+    if objective.shape != (code.n,):
+        raise ValueError("objective length mismatch")
+    cached = code.lp_cache.get(kind)
+    if cached is None:
+        cached = code.lp_cache[kind] = builder(code, np.zeros(code.n))
+    padded = np.zeros(cached.lp.num_vars)
+    padded[:code.n] = objective
+    return Formulation(kind, cached.lp.with_objective(padded), code.n, cached.row_tags)
 
 
 # -- separation ----------------------------------------------------------------

@@ -203,6 +203,12 @@ class LinearCode:
     def tanner(self) -> "TannerGraph":
         return TannerGraph.from_matrix(self.H)
 
+    @cached_property
+    def lp_cache(self) -> dict:
+        """Per-code memo of LP row blocks, filled on first use by
+        `formulations.build_formulation`, so nothing is shared across codes."""
+        return {}
+
 
 @dataclass(frozen=True)
 class TannerGraph:
@@ -213,8 +219,12 @@ class TannerGraph:
 
     @classmethod
     def from_matrix(cls, h: BinaryMatrix) -> "TannerGraph":
-        variables = tuple(h.column_support(j) for j in range(h.n))
-        return cls(h.layout.supports, variables)
+        """One pass over the row supports; each variable's checks ascend."""
+        variables: list[list[int]] = [[] for _ in range(h.n)]
+        for i, support in enumerate(h.layout.supports):
+            for j in support:
+                variables[j].append(i)
+        return cls(h.layout.supports, tuple(map(tuple, variables)))
 
 
 def girth(graph: TannerGraph) -> float:
@@ -434,11 +444,11 @@ def load_alist(text: str) -> LinearCode:
             if not 1 <= i <= m:
                 raise ValueError(f"column {j}: check index {i} out of range")
             rows[i - 1] |= 1 << j
-    for i in range(m):
+    h = BinaryMatrix(n, tuple(rows))
+    for i, support in enumerate(h.layout.supports):
         nbrs = sorted(int(t) for t in body[n + i] if int(t) != 0)
         if len(nbrs) != row_deg[i]:
             raise ValueError(f"row {i}: degree list inconsistent with neighbors")
-        support = [j + 1 for j in range(n) if (rows[i] >> j) & 1]
-        if nbrs != support:
+        if nbrs != [j + 1 for j in support]:
             raise ValueError(f"row {i}: row/column neighbor lists disagree")
-    return LinearCode(BinaryMatrix(n, tuple(rows)))
+    return LinearCode(h)

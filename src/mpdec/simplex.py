@@ -3,11 +3,26 @@
 Every decoding LP here lives in a box, so all structural bounds are finite;
 logical (row activity) variables get their bounds from the row sense,
 tightened to the finite activity range implied by the box.  The standard
-form is [A | -I] [x; r] = 0 with r the row activities.
+form is [A | -I] [x; r] = 0 with r the row activities.  Only the structural
+block A is stored: logical column n + i is -e_i, so its reduced cost is the
+row's dual value y_i.
+
+An LpProblem validates its rows and builds the engine's arrays once, when it
+is made; `LpProblem.with_objective` shares them with another objective, so a
+row block kept per code costs no per-row work per frame.
+
+The basis inverse is rebuilt from its structural kernel.  With S the k basic
+structural columns, T the k rows whose logicals are nonbasic and L the other
+rows, K = A[T, S] is k x k (k <= n) and
+B^-1 = [[K^-1, 0], [A[L, S] K^-1, -I]] up to the basis order.  The all-slack
+start has k = 0 and needs no inverse.  Between refactors B^-1 follows the
+pivots by eta updates.
 
 Solver states are reusable: `add_rows_resolve` and `fix_variable_resolve`
 clone the state and re-solve with the dual simplex from the old basis,
-falling back to a from-scratch primal solve if that runs into trouble.
+falling back to a from-scratch primal solve if that runs into trouble.  An
+LpSolution counts the pivots and refactors of the solve that produced it and
+flags that fallback.
 
 Tolerances (stated once, reused repo-wide): feasibility/optimality 1e-9
 (`FEAS_TOL`, `COST_TOL`; objective values that close count as tied),
@@ -17,9 +32,11 @@ and ratios within 1e-12 tie, and a warm basis must be dual feasible to 1e-7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 from enum import Enum
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,30 +78,88 @@ class LpRow:
             raise ValueError("duplicate column index in row")
 
 
+class RowBlock(NamedTuple):
+    """The engine's arrays for a problem's rows over its box; all read-only."""
+
+    a: np.ndarray        # (m, n) structural coefficients
+    rhs: np.ndarray      # (m,)
+    row_lo: np.ndarray   # (m,) logical bounds: the sense bounds tightened
+    row_hi: np.ndarray   # to each row's activity range over the box
+    lower: np.ndarray    # (n,) the box
+    upper: np.ndarray
+    bad_bounds: bool     # some row cannot be met inside the box
+
+
+def _row_arrays(rows: tuple[LpRow, ...], lo: np.ndarray, hi: np.ndarray):
+    """Dense coefficients, rhs and logical bounds of rows over [lo, hi].
+
+    Returns (a, rhs, row_lo, row_hi, bad_bounds); raises ValueError for a
+    column index outside the box.
+    """
+    m, n = len(rows), len(lo)
+    a = np.zeros((m, n))
+    if not m:
+        empty = np.zeros(0)
+        return a, empty, empty, empty, False
+    jj = np.fromiter((j for row in rows for j, _ in row.coeffs), np.intp)
+    if len(jj):
+        out = jj[(jj < 0) | (jj >= n)]
+        if len(out):
+            raise ValueError(f"row index {out[0]} out of range")
+        ii = np.repeat(np.arange(m), [len(row.coeffs) for row in rows])
+        a[ii, jj] = np.fromiter((v for row in rows for _, v in row.coeffs), float)
+    rhs = np.fromiter((row.rhs for row in rows), float, m)
+    le = np.fromiter((row.sense == "<=" for row in rows), bool, m)
+    ge = np.fromiter((row.sense == ">=" for row in rows), bool, m)
+    at_lo, at_hi = a * lo, a * hi
+    row_lo = np.maximum(np.where(le, -math.inf, rhs),
+                        np.minimum(at_lo, at_hi).sum(axis=1))
+    row_hi = np.minimum(np.where(ge, math.inf, rhs),
+                        np.maximum(at_lo, at_hi).sum(axis=1))
+    bad = bool((row_lo > row_hi + FEAS_TOL).any())
+    np.minimum(row_lo, row_hi, out=row_lo)
+    return a, rhs, row_lo, row_hi, bad
+
+
 @dataclass(frozen=True)
 class LpProblem:
-    """min objective . x subject to rows and finite box bounds."""
+    """min objective . x subject to rows and finite box bounds.
+
+    `block` holds the engine's arrays, built when the problem is made.
+    """
 
     num_vars: int
     objective: tuple[float, ...]
     rows: tuple[LpRow, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
+    block: RowBlock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length mismatch")
-        if len(self.lower) != self.num_vars or len(self.upper) != self.num_vars:
+        lo = np.array(self.lower, dtype=float)
+        hi = np.array(self.upper, dtype=float)
+        if lo.shape != (self.num_vars,) or hi.shape != (self.num_vars,):
             raise ValueError("bounds length mismatch")
-        for l, u in zip(self.lower, self.upper):
-            if not (math.isfinite(l) and math.isfinite(u)):
-                raise ValueError("bounds must be finite")
-            if l > u:
-                raise ValueError("lower bound exceeds upper bound")
-        for row in self.rows:
-            for j, _ in row.coeffs:
-                if not 0 <= j < self.num_vars:
-                    raise ValueError(f"row index {j} out of range")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("bounds must be finite")
+        if (lo > hi).any():
+            raise ValueError("lower bound exceeds upper bound")
+        a, rhs, row_lo, row_hi, bad = _row_arrays(self.rows, lo, hi)
+        for arr in (a, rhs, row_lo, row_hi, lo, hi):
+            arr.flags.writeable = False
+        object.__setattr__(self, "block", RowBlock(a, rhs, row_lo, row_hi, lo, hi, bad))
+
+    def with_objective(self, objective) -> "LpProblem":
+        """The same rows and box under another objective, sharing `block`:
+        nothing is validated or converted again but the objective."""
+        objective = _floats(objective)
+        if len(objective) != self.num_vars:
+            raise ValueError("objective length mismatch")
+        problem = copy.copy(self)
+        object.__setattr__(problem, "objective", objective)
+        return problem
 
 
 def _as_rows(rows) -> tuple[LpRow, ...]:
@@ -93,25 +168,37 @@ def _as_rows(rows) -> tuple[LpRow, ...]:
                  for r in rows)
 
 
+def _floats(values) -> tuple[float, ...]:
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError("expected a flat sequence of numbers")
+    return tuple(values.tolist())
+
+
 def make_problem(num_vars, objective, rows, lower=None, upper=None) -> LpProblem:
     """Convenience constructor; rows may be plain (coeffs, sense, rhs) tuples."""
-    if lower is None:
-        lower = [0.0] * num_vars
-    if upper is None:
-        upper = [1.0] * num_vars
-    return LpProblem(num_vars, tuple(float(c) for c in objective), _as_rows(rows),
-                     tuple(float(v) for v in lower), tuple(float(v) for v in upper))
+    lower = (0.0,) * num_vars if lower is None else _floats(lower)
+    upper = (1.0,) * num_vars if upper is None else _floats(upper)
+    return LpProblem(num_vars, _floats(objective), _as_rows(rows), lower, upper)
 
 
 @dataclass
 class LpSolution:
-    """Solver result; `state` can seed add_rows_resolve / fix_variable_resolve."""
+    """Solver result; `state` can seed add_rows_resolve / fix_variable_resolve.
+
+    `pivots` and `refactors` count the basis changes and B^-1 rebuilds of
+    the solve that produced it; `warm_fallback` is True when a warm re-solve
+    failed and the LP was solved again from scratch.
+    """
 
     status: LpStatus
     x: np.ndarray | None
     value: float
     active_rows: tuple[int, ...]
     state: "_Engine"
+    pivots: int = 0
+    refactors: int = 0
+    warm_fallback: bool = False
 
     @property
     def optimal(self) -> bool:
@@ -119,62 +206,33 @@ class LpSolution:
 
 
 class _Engine:
-    """Mutable simplex state over the standard form [A | -I] z = 0."""
+    """Mutable simplex state over the standard form [A | -I] z = 0.
+
+    Columns 0..n-1 are structural, column n + i is row i's logical; only A
+    is stored.  `a`, `rhs` and `c` are never written in place, so clones
+    share them until `add_rows` replaces them.
+    """
 
     def __init__(self, problem: LpProblem | None):
         if problem is None:
             return
-        n = problem.num_vars
-        m = len(problem.rows)
-        a = np.zeros((m, n + m))
-        for i, row in enumerate(problem.rows):
-            for j, v in row.coeffs:
-                a[i, j] = v
-            a[i, n + i] = -1.0
+        block = problem.block
+        n, m = problem.num_vars, len(block.rhs)
         self.nstruct = n
-        self.a = a
-        self.c = np.concatenate([np.asarray(problem.objective, dtype=float),
-                                 np.zeros(m)])
-        lo = np.concatenate([np.asarray(problem.lower, dtype=float), np.zeros(m)])
-        hi = np.concatenate([np.asarray(problem.upper, dtype=float), np.zeros(m)])
-        self.lo, self.hi = lo, hi
-        self.senses: list[str] = []
-        self.rhs = np.zeros(m)
-        self.bad_bounds = False
-        for i, row in enumerate(problem.rows):
-            self._set_logical_bounds(i, row)
+        self.a = block.a
+        self.rhs = block.rhs
+        self.c = np.concatenate([problem.objective, np.zeros(m)])
+        self.lo = np.concatenate([block.lower, block.row_lo])
+        self.hi = np.concatenate([block.upper, block.row_hi])
+        self.bad_bounds = block.bad_bounds
         self.basis = np.arange(n, n + m)
         self.status = np.full(n + m, _AT_LOWER, dtype=np.int8)
         self.status[self.basis] = _BASIC
-        self.b_inv = np.eye(m)
-        self.x_basic = np.zeros(m)
-        self._pivots = 0
+        self.b_inv = self.x_basic = None  # set when optimize_scratch starts
+        self._since_refactor = 0
         self._degen = 0
-
-    # -- construction helpers -------------------------------------------------
-
-    def _set_logical_bounds(self, i: int, row: LpRow):
-        """Tighten the logical's sense bounds to the finite activity range."""
-        amin = amax = 0.0
-        for j, v in row.coeffs:
-            prods = (v * self.lo[j], v * self.hi[j])
-            amin += min(prods)
-            amax += max(prods)
-        if row.sense == "<=":
-            lo_s, hi_s = -math.inf, row.rhs
-        elif row.sense == ">=":
-            lo_s, hi_s = row.rhs, math.inf
-        else:
-            lo_s = hi_s = row.rhs
-        col = self.nstruct + i
-        self.lo[col] = max(lo_s, amin)
-        self.hi[col] = min(hi_s, amax)
-        self.senses.append(row.sense)
-        self.rhs[i] = row.rhs
-        if self.lo[col] > self.hi[col] + FEAS_TOL:
-            self.bad_bounds = True
-        elif self.lo[col] > self.hi[col]:
-            self.lo[col] = self.hi[col]
+        self.pivots = 0
+        self.refactors = 0
 
     @property
     def m(self) -> int:
@@ -183,35 +241,60 @@ class _Engine:
     def clone(self) -> "_Engine":
         e = _Engine(None)
         e.nstruct = self.nstruct
-        e.a = self.a.copy()
-        e.c = self.c.copy()
+        e.a = self.a
+        e.rhs = self.rhs
+        e.c = self.c
         e.lo = self.lo.copy()
         e.hi = self.hi.copy()
-        e.senses = list(self.senses)
-        e.rhs = self.rhs.copy()
         e.bad_bounds = self.bad_bounds
         e.basis = self.basis.copy()
         e.status = self.status.copy()
         e.b_inv = self.b_inv.copy()
         e.x_basic = self.x_basic.copy()
-        e._pivots = 0
+        e._since_refactor = 0
         e._degen = 0
+        e.pivots = 0
+        e.refactors = 0
         return e
 
     # -- linear algebra upkeep ------------------------------------------------
 
     def _refactor(self):
-        b = self.a[:, self.basis]
-        try:
-            self.b_inv = np.linalg.inv(b) if self.m else np.zeros((0, 0))
-        except np.linalg.LinAlgError as exc:
-            raise LpSolverError("singular basis") from exc
-        self._pivots = 0
+        """Rebuild B^-1 from the kernel K = A[T, S] (see the module doc)."""
+        n, m = self.nstruct, self.m
+        basis = self.basis
+        b_inv = np.zeros((m, m))
+        logical = basis >= n
+        pos_l = np.flatnonzero(logical)
+        rows_l = basis[pos_l] - n
+        b_inv[pos_l, rows_l] = -1.0
+        if len(pos_l) < m:
+            pos_s = np.flatnonzero(~logical)
+            tight = np.ones(m, dtype=bool)
+            tight[rows_l] = False
+            rows_t = np.flatnonzero(tight)
+            a_s = self.a[:, basis[pos_s]]
+            try:
+                k_inv = np.linalg.inv(a_s[rows_t])
+            except np.linalg.LinAlgError as exc:
+                raise LpSolverError("singular basis") from exc
+            b_inv[pos_s[:, None], rows_t] = k_inv
+            b_inv[pos_l[:, None], rows_t] = a_s[rows_l] @ k_inv
+        self.b_inv = b_inv
+        self._since_refactor = 0
+        self.refactors += 1
+
+    def _column(self, q: int) -> np.ndarray:
+        """B^-1 times column q of [A | -I]."""
+        if q < self.nstruct:
+            return self.b_inv @ self.a[:, q]
+        return -self.b_inv[:, q - self.nstruct]
 
     def _recompute_x_basic(self):
         xn = np.where(self.status == _AT_LOWER, self.lo,
                       np.where(self.status == _AT_UPPER, self.hi, 0.0))
-        self.x_basic = self.b_inv @ -(self.a @ xn) if self.m else np.zeros(0)
+        n = self.nstruct
+        self.x_basic = self.b_inv @ (xn[n:] - self.a @ xn[:n]) if self.m else np.zeros(0)
 
     def _eta_update(self, r: int, w: np.ndarray):
         piv = w[r]
@@ -220,17 +303,21 @@ class _Engine:
         w2[r] = 0.0
         self.b_inv -= np.outer(w2, row)
         self.b_inv[r] = row
-        self._pivots += 1
-        if self._pivots >= _REFACTOR_EVERY:
+        self.pivots += 1
+        self._since_refactor += 1
+        if self._since_refactor >= _REFACTOR_EVERY:
             self._refactor()
             self._recompute_x_basic()
 
     def _reduced_costs(self, cost: np.ndarray | None = None) -> np.ndarray:
+        """cost - y [A | -I] with y = cost_B B^-1; the true objective costs
+        nothing on logicals, so there the logical part is y itself."""
         c = self.c if cost is None else cost
         if self.m == 0:
             return c.copy()
         y = c[self.basis] @ self.b_inv
-        return c - y @ self.a
+        n = self.nstruct
+        return np.concatenate([c[:n] - y @ self.a, y if cost is None else c[n:] + y])
 
     def _max_violation(self) -> float:
         if self.m == 0:
@@ -309,8 +396,7 @@ class _Engine:
             if q < 0:
                 return False
             sigma = 1.0 if self.status[q] == _AT_LOWER else -1.0
-            w = self.b_inv @ self.a[:, q]
-            rate = -sigma * w
+            rate = -sigma * self._column(q)
             lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
             is_below = self.x_basic < lo_b - FEAS_TOL
             is_above = self.x_basic > hi_b + FEAS_TOL
@@ -340,8 +426,7 @@ class _Engine:
             if q < 0:
                 return
             sigma = 1.0 if self.status[q] == _AT_LOWER else -1.0
-            w = self.b_inv @ self.a[:, q]
-            rate = -sigma * w
+            rate = -sigma * self._column(q)
             lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
             t = np.full(self.m, math.inf)
             up = rate > _PIV_EPS
@@ -375,7 +460,7 @@ class _Engine:
             p = int(self.basis[r])
             going_up = below[r] > above[r]
             rho = self.b_inv[r]
-            alpha = rho @ self.a
+            alpha = np.concatenate([rho @ self.a, -rho])
             d = self._reduced_costs()
             d[self.basis] = 0.0
             s = 1.0 if going_up else -1.0
@@ -397,7 +482,7 @@ class _Engine:
             self._degen = self._degen + 1 if t_min <= _TIE_EPS else 0
             bound_r = self.lo[p] if going_up else self.hi[p]
             delta = (self.x_basic[r] - bound_r) / alpha[q]
-            w = self.b_inv @ self.a[:, q]
+            w = self._column(q)
             if abs(w[r]) < _PIV_EPS:
                 self._refactor()
                 self._recompute_x_basic()
@@ -475,35 +560,27 @@ class _Engine:
         k = len(rows)
         if k == 0:
             return
-        m_old, n_all = self.m, len(self.c)
+        n, m_old = self.nstruct, self.m
         x_old = self.values()
-        block = np.zeros((k, n_all + k))
-        block[:, n_all:] = -np.eye(k)
-        for t, row in enumerate(rows):
-            for j, v in row.coeffs:
-                if not 0 <= j < self.nstruct:
-                    raise ValueError(f"row index {j} out of range")
-                block[t, j] = v
-        self.a = np.block([[self.a, np.zeros((m_old, k))], [block]])
+        block, rhs, row_lo, row_hi, bad = _row_arrays(rows, self.lo[:n], self.hi[:n])
+        self.a = np.concatenate([self.a, block])
+        self.rhs = np.concatenate([self.rhs, rhs])
         self.c = np.concatenate([self.c, np.zeros(k)])
-        self.lo = np.concatenate([self.lo, np.zeros(k)])
-        self.hi = np.concatenate([self.hi, np.zeros(k)])
-        self.rhs = np.concatenate([self.rhs, np.zeros(k)])
-        for t, row in enumerate(rows):
-            self._set_logical_bounds(m_old + t, row)
+        self.lo = np.concatenate([self.lo, row_lo])
+        self.hi = np.concatenate([self.hi, row_hi])
+        self.bad_bounds = self.bad_bounds or bad
         # B' = [[B, 0], [C, -I]] with C the new rows over the old basis, so
-        # B'^-1 = [[B^-1, 0], [C B^-1, -I]].
-        c_block = block[:, :n_all][:, self.basis]
+        # B'^-1 = [[B^-1, 0], [C B^-1, -I]]; C is zero on basic logicals.
         new_binv = np.zeros((m_old + k, m_old + k))
         new_binv[:m_old, :m_old] = self.b_inv
-        if m_old:
-            new_binv[m_old:, :m_old] = c_block @ self.b_inv
+        structural = np.flatnonzero(self.basis < n)
+        if len(structural):
+            new_binv[m_old:, :m_old] = block[:, self.basis[structural]] @ self.b_inv[structural]
         new_binv[m_old:, m_old:] = -np.eye(k)
         self.b_inv = new_binv
-        acts = block[:, :n_all] @ x_old
-        self.basis = np.concatenate([self.basis, np.arange(n_all, n_all + k)])
+        self.basis = np.concatenate([self.basis, np.arange(n + m_old, n + m_old + k)])
         self.status = np.concatenate([self.status, np.full(k, _BASIC, dtype=np.int8)])
-        self.x_basic = np.concatenate([self.x_basic, acts])
+        self.x_basic = np.concatenate([self.x_basic, block @ x_old[:n]])
 
     def set_bounds(self, j: int, lo: float, hi: float):
         if not 0 <= j < self.nstruct:
@@ -517,7 +594,7 @@ class _Engine:
         self.lo[j], self.hi[j] = lo, hi
         new = min(max(old, lo), hi)
         if new != old:
-            self.x_basic -= (self.b_inv @ self.a[:, j]) * (new - old)
+            self.x_basic -= self._column(j) * (new - old)
         self.status[j] = _AT_LOWER if abs(new - lo) <= abs(new - hi) else _AT_UPPER
 
     # -- extraction ------------------------------------------------------------
@@ -538,13 +615,15 @@ class _Engine:
         return float(self.c @ self.values())
 
 
-def _finish(engine: _Engine, status: LpStatus) -> LpSolution:
+def _finish(engine: _Engine, status: LpStatus, warm_fallback: bool = False) -> LpSolution:
+    counts = dict(pivots=engine.pivots, refactors=engine.refactors,
+                  warm_fallback=warm_fallback)
     if status is LpStatus.INFEASIBLE:
-        return LpSolution(LpStatus.INFEASIBLE, None, math.inf, (), engine)
+        return LpSolution(LpStatus.INFEASIBLE, None, math.inf, (), engine, **counts)
     acts = engine.row_activities()
     active = tuple(int(i) for i in np.flatnonzero(np.abs(acts - engine.rhs) <= FEAS_TOL))
     return LpSolution(LpStatus.OPTIMAL, engine.structural_values(),
-                      engine.objective_value(), active, engine)
+                      engine.objective_value(), active, engine, **counts)
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -557,7 +636,7 @@ def _resolve(engine: _Engine) -> LpSolution:
     try:
         return _finish(engine, engine.optimize_warm())
     except LpSolverError:
-        return _finish(engine, engine.optimize_scratch())
+        return _finish(engine, engine.optimize_scratch(), warm_fallback=True)
 
 
 def add_rows_resolve(solution: LpSolution, rows) -> LpSolution:

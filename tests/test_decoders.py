@@ -356,3 +356,41 @@ def test_decoder_config_validation():
         DecoderConfig(depth=0)
     with pytest.raises(ValueError):
         DecoderConfig(max_nodes=0)
+
+
+def test_certified_value_is_exact_codeword_cost(code84):
+    # the LP value c @ x of an integral vertex can differ from llr @ codeword
+    # in the last bits; a certificate reports the codeword's exact cost
+    from mpdec.formulations import build_formulation
+    from mpdec.simplex import solve
+    rng = np.random.default_rng(0)
+    differing = 0
+    for _ in range(40):
+        lam = rng.standard_normal(8)
+        res = lp_decode(code84, lam)
+        if res.status is not DecodeStatus.ML_CERTIFIED:
+            continue
+        exact = float(lam @ res.codeword())
+        differing += solve(build_formulation(code84, "fs", lam).lp).value != exact
+        assert res.value == exact
+        for other in (branch_and_bound_decode(code84, lam),
+                      adaptive_lp_decode(code84, lam),
+                      cutting_plane_decode(code84, lam, base="fs")):
+            assert other.status is DecodeStatus.ML_CERTIFIED
+            assert other.value == exact
+    assert differing > 0
+
+
+def test_solver_counters_are_deterministic(code84, hamming):
+    rng = np.random.default_rng(98)
+    lam, _ = fractional_instance(hamming, rng, lp_decode)
+    decoders = (lp_decode, adaptive_lp_decode, cutting_plane_decode,
+                branch_and_bound_decode, lambda c, l: bit_guessing_decode(c, l, c=1.0))
+    for dec in decoders:
+        a, b = dec(hamming, lam).stats, dec(hamming, lam).stats
+        assert a.pivots > 0 and a.refactors >= a.lp_solves
+        assert ((a.pivots, a.refactors, a.warm_fallbacks, a.lp_solves)
+                == (b.pivots, b.refactors, b.warm_fallbacks, b.lp_solves))
+    # the root solve is branch & bound's first solve, so its counts are included
+    root, tree = lp_decode(hamming, lam).stats, branch_and_bound_decode(hamming, lam).stats
+    assert tree.pivots > root.pivots and tree.refactors > root.refactors

@@ -379,3 +379,61 @@ def test_row_fs_cuts_integral_noncodeword(code84):
     assert len(cuts) == 3  # variable 0 sits in three checks
     for cut in cuts:
         assert cut.violation(x) > 0.5
+
+
+_FRESH = {"fs": build_fs_lp, "config": build_config_lp, "count": build_count_lp,
+          "cascade": build_cascade_lp, "edge": build_edge_lp,
+          "parity_relax": build_parity_relax_lp}
+
+
+@pytest.mark.parametrize("kind", sorted(_FRESH))
+def test_cached_build_equals_fresh_build(kind, code84):
+    code = LinearCode(code84.H)  # a code of its own, so the cache starts empty
+    rng = np.random.default_rng(95)
+    first = build_formulation(code, kind, rng.standard_normal(8))
+    lam = rng.standard_normal(8)
+    cached = build_formulation(code, kind, lam)
+    fresh = _FRESH[kind](code84, lam)
+    assert cached.lp.rows is first.lp.rows and cached.lp.block is first.lp.block
+    assert cached.row_tags == fresh.row_tags
+    assert cached.lp == fresh.lp  # rows, padded objective, box
+    assert cached.lp.objective[8:] == (0.0,) * (cached.lp.num_vars - 8)
+    for name, arr in cached.lp.block._asdict().items():
+        assert np.array_equal(arr, getattr(fresh.lp.block, name)), name
+    assert solve(cached.lp).value == pytest.approx(solve(fresh.lp).value, abs=1e-9)
+
+
+def test_cached_objectives_do_not_bleed(code84):
+    code = LinearCode(code84.H)
+    rng = np.random.default_rng(96)
+    lams = [rng.standard_normal(8) for _ in range(4)]
+    forms = [build_formulation(code, "fs", lam) for lam in lams]
+    sols = [solve(f.lp) for f in forms]
+    for lam, form, sol in zip(lams, forms, sols):
+        assert form.lp.objective == tuple(lam)
+        again = solve(build_fs_lp(code84, lam).lp)
+        assert sol.value == again.value and np.array_equal(sol.x, again.x)
+    # warm re-solves write only into their clones
+    add_rows_resolve(sols[0], [(((0, 1.0),), "<=", 0.5)])
+    assert np.array_equal(forms[1].lp.block.a, build_fs_lp(code84, lams[1]).lp.block.a)
+    with pytest.raises(ValueError):
+        build_formulation(code, "fs", np.zeros(7))
+
+
+def test_decoding_code_a_then_b_then_a(code84, hamming):
+    from mpdec.decoders import branch_and_bound_decode, lp_decode
+    a, b = LinearCode(code84.H), LinearCode(hamming.H)
+    rng = np.random.default_rng(97)
+    lam_a, lam_b = rng.standard_normal(8), rng.standard_normal(7)
+
+    def run(code, lam):
+        return [(r.status, r.value, r.point.tolist()) for r in
+                (lp_decode(code, lam), lp_decode(code, lam, "edge"),
+                 branch_and_bound_decode(code, lam))]
+
+    first = run(a, lam_a)
+    other = run(b, lam_b)
+    assert run(a, lam_a) == first
+    assert run(b, lam_b) == other
+    assert a.lp_cache["fs"] is not b.lp_cache["fs"]
+    assert len(a.lp_cache["fs"].lp.rows) == 32 and len(b.lp_cache["fs"].lp.rows) == 24

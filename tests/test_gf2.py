@@ -297,3 +297,49 @@ def test_generated_codewords_have_zero_syndrome():
         for w in enumerate_codewords(code):
             assert not syndrome(code.H, w).any()
         assert rank(code.H) + code.k == code.n
+
+
+def _irregular_codes():
+    rng = np.random.default_rng(71)
+    codes = [random_regular_ldpc(24, 3, 6, seed=2), random_regular_ldpc(20, 2, 4, seed=5),
+             LinearCode(BinaryMatrix(5, (0b00011, 0, 0b11100, 0b00001)))]
+    for _ in range(6):
+        n = int(rng.integers(3, 12))
+        rows = tuple(int(r) for r in rng.integers(0, 2 ** n, size=int(rng.integers(1, 8))))
+        codes.append(LinearCode(BinaryMatrix(n, rows)))
+    return codes
+
+
+def test_tanner_graph_matches_column_scan():
+    # the old definition: every column's checks by scanning all rows
+    for code in _irregular_codes():
+        h = code.H
+        tg = TannerGraph.from_matrix(h)
+        assert tg.var_neighbors == tuple(h.column_support(j) for j in range(h.n))
+        assert tg.check_neighbors == tuple(
+            tuple(j for j in range(h.n) if (r >> j) & 1) for r in h.rows)
+
+
+def test_alist_roundtrip_irregular():
+    for code in _irregular_codes():
+        if code.H.m:
+            assert load_alist(save_alist(code)).H == code.H
+
+
+@pytest.mark.parametrize("text, message", [
+    ("8 4\n3 4\n", "alist truncated: need header, degree bounds, degree lists"),
+    ("2 x\n1 1\n1 1\n2\n", "malformed alist header: invalid literal for int() "
+                           "with base 10: 'x'"),
+    ("0 1\n1 1\n0\n1\n", "alist header: dimensions must be positive"),
+    ("2 1\n1 2\n1\n2\n", "alist degree list length mismatch"),
+    ("2 1\n1 1\n1 1\n2\n", "alist degree exceeds declared maximum"),
+    ("2 1\n1 2\n1 1\n2\n1\n", "alist truncated: missing neighbor lists"),
+    ("2 1\n1 2\n1 1\n2\n1 1\n1\n1 2\n", "column 0: degree list inconsistent with neighbors"),
+    ("2 1\n1 2\n1 1\n2\n1\n9\n1 2\n", "column 1: check index 9 out of range"),
+    ("2 1\n1 2\n1 1\n2\n1\n1\n1\n", "row 0: degree list inconsistent with neighbors"),
+    ("3 1\n1 2\n1 1 0\n2\n1\n1\n0\n1 3\n", "row 0: row/column neighbor lists disagree"),
+])
+def test_alist_error_messages(text, message):
+    with pytest.raises(ValueError) as info:
+        load_alist(text)
+    assert str(info.value) == message

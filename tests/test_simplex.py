@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from mpdec.simplex import (LpRow, LpSolverError, LpStatus, add_rows_resolve,
-                           dump_lp, fix_variable_resolve, is_integral,
-                           make_problem, solve)
+from mpdec.simplex import (LpRow, LpSolverError, LpStatus, _Engine,
+                           add_rows_resolve, dump_lp, fix_variable_resolve,
+                           is_integral, make_problem, solve)
 
 
 def brute_force_lp(num_vars, c, rows, lo, hi):
@@ -284,3 +284,151 @@ def test_zero_row_problem_bound_flips():
     sol = solve(make_problem(3, [-1.0, 2.0, -3.0], []))
     assert sol.optimal and np.allclose(sol.x, [1, 0, 1])
     assert sol.value == pytest.approx(-4.0, abs=1e-12)
+
+
+def dense_basis(engine):
+    """The basis matrix as columns of the explicit [A | -I]."""
+    full = np.hstack([engine.a, -np.eye(engine.m)])
+    return full[:, engine.basis]
+
+
+def engine_with_basis(rng, m, n, k):
+    """An engine over a random dense m x n problem whose basis holds k
+    structural columns and the logicals of m - k random rows, shuffled."""
+    rows = [([(j, float(v)) for j, v in enumerate(rng.standard_normal(n))], "<=", 1.0)
+            for _ in range(m)]
+    engine = _Engine(make_problem(n, rng.standard_normal(n), rows))
+    structural = rng.choice(n, size=k, replace=False)
+    logical = n + rng.choice(m, size=m - k, replace=False)
+    engine.basis = rng.permutation(np.concatenate([structural, logical]))
+    return engine
+
+
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_kernel_inverse_random_bases(k):
+    # k = 0 is the slack basis, 0 < k < n a mixed one, k = n all structural
+    rng = np.random.default_rng(80 + k)
+    for _ in range(20):
+        engine = engine_with_basis(rng, 9, 6, k)
+        engine._refactor()
+        assert np.allclose(engine.b_inv @ dense_basis(engine), np.eye(9), atol=1e-9)
+
+
+def test_kernel_inverse_after_add_rows():
+    rng = np.random.default_rng(91)
+    for _ in range(20):
+        n = int(rng.integers(3, 7))
+        rows = [([(j, float(v)) for j, v in enumerate(rng.integers(-2, 3, size=n))],
+                 "<=", float(rng.integers(0, 3))) for _ in range(int(rng.integers(0, 5)))]
+        sol = solve(make_problem(n, rng.standard_normal(n), rows))
+        if not sol.optimal:
+            continue
+        engine = sol.state.clone()
+        engine.add_rows(tuple(LpRow(tuple((j, float(v)) for j, v in
+                                          enumerate(rng.integers(-2, 3, size=n)) if v),
+                                    "<=", 1.0) for _ in range(3)))
+        eye = np.eye(engine.m)
+        assert np.allclose(engine.b_inv @ dense_basis(engine), eye, atol=1e-9)
+        engine._refactor()
+        assert np.allclose(engine.b_inv @ dense_basis(engine), eye, atol=1e-9)
+
+
+def test_singular_kernel_raises():
+    # columns 0 and 1 are equal, so no basis may hold both with both rows tight
+    engine = _Engine(make_problem(3, [1.0, 1.0, 1.0],
+                                  [([(0, 1.0), (1, 1.0), (2, 1.0)], "<=", 2.0),
+                                   ([(0, 2.0), (1, 2.0)], "<=", 1.0)]))
+    engine.basis = np.array([0, 1])
+    with pytest.raises(LpSolverError):
+        engine._refactor()
+
+
+def test_engine_stores_no_identity_block():
+    sol = solve(make_problem(3, [-0.7, -1.3, 0.4], spc_fs_rows()))
+    assert sol.state.a.shape == (4, 3)
+    child = fix_variable_resolve(sol, 0, 1.0)
+    assert child.state.a is sol.state.a
+    grown = add_rows_resolve(sol, [([(0, 1.0)], "<=", 0.5)])
+    assert grown.state.a.shape == (5, 3) and sol.state.a.shape == (4, 3)
+
+
+def test_problem_arrays_are_read_only():
+    p = make_problem(3, [1.0, 0.0, -1.0], spc_fs_rows())
+    for arr in (p.block.a, p.block.rhs, p.block.row_lo, p.block.row_hi,
+                p.block.lower, p.block.upper):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        p.block.a[0, 0] = 5.0
+    # a solve and its warm re-solves leave them as built
+    sol = solve(p)
+    add_rows_resolve(sol, [([(0, 1.0)], "<=", 0.5)])
+    fix_variable_resolve(sol, 1, 1.0)
+    fresh = make_problem(3, [1.0, 0.0, -1.0], spc_fs_rows()).block
+    assert np.array_equal(p.block.a, fresh.a) and np.array_equal(p.block.row_lo, fresh.row_lo)
+    assert sol.state.a is p.block.a
+
+
+def test_with_objective_shares_rows_only():
+    p = make_problem(3, [1.0, 0.0, -1.0], spc_fs_rows())
+    q = p.with_objective(np.array([-1.0, -1.0, 1.0]))
+    assert q.block is p.block and q.rows is p.rows
+    assert p.objective == (1.0, 0.0, -1.0) and q.objective == (-1.0, -1.0, 1.0)
+    assert q == make_problem(3, [-1.0, -1.0, 1.0], spc_fs_rows())
+    assert solve(q).value == pytest.approx(-2.0, abs=1e-9)
+    assert solve(p).value == pytest.approx(
+        solve(make_problem(3, [1.0, 0.0, -1.0], spc_fs_rows())).value, abs=1e-12)
+    with pytest.raises(ValueError):
+        p.with_objective([1.0, 2.0])
+
+
+def test_solution_counters():
+    # the all-ones start breaks the odd-subset row, so phase 1 must pivot
+    sol = solve(make_problem(3, [-1.0, -1.1, -1.2], spc_fs_rows()))
+    assert sol.pivots > 0 and sol.refactors > 0 and not sol.warm_fallback
+    again = solve(make_problem(3, [-1.0, -1.1, -1.2], spc_fs_rows()))
+    assert (again.pivots, again.refactors) == (sol.pivots, sol.refactors)
+    # a clone counts only its own re-solve
+    child = fix_variable_resolve(sol, 1, 0.0)
+    assert child.refactors >= 1 and not child.warm_fallback
+
+
+def test_warm_fallback_is_flagged():
+    sol = solve(make_problem(3, [-0.7, -1.3, 0.4], spc_fs_rows()))
+    # flip the objective under the optimal basis: no longer dual feasible,
+    # so the warm re-solve gives up and the clone is solved from scratch
+    sol.state.c = -sol.state.c
+    again = add_rows_resolve(sol, [([(0, 1.0)], "<=", 0.5)])
+    assert again.warm_fallback and again.optimal
+    fresh = solve(make_problem(3, [0.7, 1.3, -0.4], spc_fs_rows() + [([(0, 1.0)], "<=", 0.5)]))
+    assert again.value == pytest.approx(fresh.value, abs=1e-9)
+
+
+def loop_logical_bounds(rows, lo, hi):
+    """Reference: each row's sense bounds tightened to its activity range,
+    one coefficient at a time."""
+    out = []
+    for coeffs, sense, rhs in rows:
+        amin = sum(min(v * lo[j], v * hi[j]) for j, v in coeffs)
+        amax = sum(max(v * lo[j], v * hi[j]) for j, v in coeffs)
+        s_lo = -math.inf if sense == "<=" else rhs
+        s_hi = math.inf if sense == ">=" else rhs
+        out.append((max(s_lo, amin), min(s_hi, amax)))
+    return out
+
+
+def test_logical_bounds_match_row_loop():
+    rng = np.random.default_rng(93)
+    for _ in range(40):
+        n, c, rows, _, _ = random_lp(rng, n_max=7, m_max=6)
+        rows = [([(j, v * float(rng.uniform(0.1, 2.0))) for j, v in coeffs], sense,
+                 rhs + float(rng.uniform(-0.5, 0.5))) for coeffs, sense, rhs in rows]
+        lo = rng.uniform(-2.0, 0.0, size=n).round(3)
+        hi = lo + rng.uniform(0.0, 3.0, size=n).round(3)
+        block = make_problem(n, c, rows, lo, hi).block
+        ref = loop_logical_bounds(rows, lo, hi)
+        bad = any(l > h + 1e-9 for l, h in ref)
+        assert block.bad_bounds == bad
+        for (l, h), got_l, got_h in zip(ref, block.row_lo, block.row_hi):
+            assert got_h == pytest.approx(h, rel=1e-12, abs=1e-12)
+            if not bad:
+                assert got_l == pytest.approx(min(l, h), rel=1e-12, abs=1e-12)
