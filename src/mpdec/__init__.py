@@ -13,7 +13,8 @@ from .formulations import (FORMULATIONS, FsInequality, Formulation,
                            build_formulation, decompose_checks,
                            fs_inequalities, has_lonely_fractional_neighbor,
                            matrix_adaptation_cut_search, most_violated_fs_cut,
-                           row_fs_cuts, rpc_cycle_cut_search, rpc_from_rows)
+                           row_fs_cuts, rpc_cycle_cut_search, rpc_from_rows,
+                           separate_fs_cuts)
 from .gf2 import (BinaryMatrix, LinearCode, TannerGraph, enumerate_codewords,
                   girth, load_alist, min_distance_bruteforce, ml_bruteforce,
                   random_regular_ldpc, rank, rref, save_alist,

@@ -1,0 +1,5 @@
+"""`python -m mpdec ...` runs the command line interface."""
+
+from .cli import main
+
+raise SystemExit(main())

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from .channels import Biawgn, Bsc, llr, transmit
-from .decoders import (DecoderConfig, lp_decode, make_decoder)
+from .decoders import DECODERS, DecoderConfig, lp_decode, make_decoder
 from .formulations import (matrix_adaptation_cut_search, rpc_cycle_cut_search)
 from .gf2 import (LinearCode, load_alist, min_distance_bruteforce,
                   random_regular_ldpc, save_alist, spc_product_code)
@@ -17,35 +17,51 @@ from .sim import SimConfig, fer_confidence, simulate_to_csv
 from . import decoders as _dec
 
 
+def _spec_ints(spec: str, form: str, count: int | None = None) -> list[int]:
+    """The comma separated ints after the spec's `kind:` prefix."""
+    try:
+        values = [int(t) for t in spec.partition(":")[2].split(",")]
+    except ValueError:
+        values = []
+    if not values or (count is not None and len(values) != count):
+        raise ValueError(f"code spec must look like {form}, got {spec!r}")
+    return values
+
+
 def load_code(spec: str) -> LinearCode:
     """Code source: an alist path, 'random:n,dv,dc,seed', or 'spc:d1,d2,..'."""
     if spec.startswith("random:"):
-        n, dv, dc, seed = (int(t) for t in spec[len("random:"):].split(","))
-        return random_regular_ldpc(n, dv, dc, seed)
+        return random_regular_ldpc(*_spec_ints(spec, "random:n,dv,dc,seed", 4))
     if spec.startswith("spc:"):
-        dims = tuple(int(t) for t in spec[len("spc:"):].split(","))
-        return spc_product_code(dims)
+        return spc_product_code(_spec_ints(spec, "spc:d1,d2,..."))
     with open(spec) as fh:
         return load_alist(fh.read())
 
 
 def parse_channel(spec: str):
     kind, _, value = spec.partition(":")
-    if kind == "bsc":
-        return Bsc(float(value))
-    if kind == "biawgn":
-        return Biawgn(float(value))
-    raise ValueError("channel must look like bsc:0.05 or biawgn:0.8")
+    channel = {"bsc": Bsc, "biawgn": Biawgn}.get(kind)
+    try:
+        number = float(value)
+    except ValueError:
+        channel = None
+    if channel is None:
+        raise ValueError(f"channel must look like bsc:0.05 or biawgn:0.8, got {spec!r}")
+    return channel(number)
 
 
 def _llr_for(args, code) -> np.ndarray:
     if args.llr is not None:
-        lam = np.array([float(t) for t in args.llr.split(",")])
+        try:
+            lam = np.array([float(t) for t in args.llr.split(",")])
+        except ValueError:
+            raise ValueError(f"--llr must be comma separated numbers, "
+                             f"got {args.llr!r}") from None
         if lam.shape != (code.n,):
-            raise SystemExit(f"expected {code.n} LLR values, got {len(lam)}")
+            raise ValueError(f"--llr: expected {code.n} LLR values, got {len(lam)}")
         return lam
     if args.channel is None:
-        raise SystemExit("need either --llr or --channel")
+        raise ValueError("need either --llr or --channel")
     channel = parse_channel(args.channel)
     zero = np.zeros(code.n, dtype=np.uint8)
     y = transmit(zero, channel, args.seed)
@@ -93,6 +109,11 @@ def parse_sim_config_text(text: str) -> SimConfig:
         if key not in kv:
             raise ValueError(f"config needs a {key}= line")
     code = load_code(kv["code"])
+    decoders = tuple(t.strip() for t in kv["decoders"].split(","))
+    for name in decoders:
+        if name not in DECODERS:
+            raise ValueError(f"decoders= names an unknown decoder {name!r}; "
+                             f"options: {list(DECODERS)}")
     dc_kwargs = {}
     fields = {f.name: f.type for f in dataclasses.fields(DecoderConfig)}
     for key, value in kv.items():
@@ -110,12 +131,16 @@ def parse_sim_config_text(text: str) -> SimConfig:
                     key, value, float if isinstance(current, float) else int)
             else:
                 dc_kwargs[name] = value
+    try:
+        decoder_config = DecoderConfig(**dc_kwargs)
+    except ValueError as exc:
+        raise ValueError(f"decoder.{exc}") from None
     return SimConfig(
         code=code,
         channel=kv.get("channel", "bsc"),
         points=tuple(_config_number("points", t, float) for t in kv["points"].split(",")),
-        decoders=tuple(t.strip() for t in kv["decoders"].split(",")),
-        decoder_config=DecoderConfig(**dc_kwargs),
+        decoders=decoders,
+        decoder_config=decoder_config,
         **{key: _config_number(key, kv[key], int) for key in
            ("max_frames", "min_frame_errors", "master_seed") if key in kv})
 
@@ -184,7 +209,7 @@ def main(argv=None) -> int:
     p.add_argument("--code", required=True)
     p.add_argument("--llr", help="comma separated LLR values")
     p.add_argument("--channel", help="bsc:p or biawgn:sigma (all-zero frame)")
-    p.add_argument("--decoder", default="lp")
+    p.add_argument("--decoder", default="lp", choices=DECODERS)
     p.add_argument("--formulation", default="fs")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_decode)
@@ -219,7 +244,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_cuts)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -13,14 +13,18 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import combinations, product
 
 import numpy as np
 
 from .channels import hard_decision
-from .formulations import (Formulation, FsInequality, build_formulation,
-                           matrix_adaptation_cut_search, most_violated_fs_cut,
-                           row_fs_cuts, rpc_cycle_cut_search)
+# most_violated_fs_cut is unused here but stays importable by this name,
+# where perfbench traces it.
+from .formulations import (FORMULATIONS, Formulation, FsInequality,
+                           build_formulation, matrix_adaptation_cut_search,
+                           most_violated_fs_cut, row_fs_cuts,
+                           rpc_cycle_cut_search)
 from .gf2 import LinearCode, _gauss_jordan, syndrome
 from .simplex import (_TIE_EPS, COST_TOL, FEAS_TOL, INTEGRALITY_TOL, LpSolution,
                       LpSolverError, add_rows_resolve, fix_variable_resolve,
@@ -103,6 +107,14 @@ class DecoderConfig:
                                       or not isinstance(value, int) or value < 1):
                 raise ValueError(f"{name} must be None or a positive int, "
                                  f"got {value!r}")
+        for name in ("formulation", "base"):
+            if getattr(self, name) not in FORMULATIONS:
+                raise ValueError(f"{name} must be one of {FORMULATIONS}, "
+                                 f"got {getattr(self, name)!r}")
+        for s in self.searchers:
+            if not callable(s) and s not in _SEARCHERS:
+                raise ValueError(f"searchers must name searchers from "
+                                 f"{tuple(_SEARCHERS)} or be callables, got {s!r}")
 
 
 def _certified(code: LinearCode, x) -> bool:
@@ -135,7 +147,9 @@ class _Incumbent:
     the solve that found it.  A candidate wins when that cost is lower by
     more than COST_TOL, or ties within COST_TOL and is lexicographically
     smaller: the brute-force oracle's convention.  Searches prune nodes that
-    cannot win.
+    cannot win, so among tied ML codewords the result is the smallest of
+    those the search met.  A root certificate is whichever tied vertex the
+    root solve ended at, which need not be the oracle's choice.
     """
 
     def __init__(self, code: LinearCode, llr: np.ndarray):
@@ -234,31 +248,25 @@ def adaptive_lp_decode(code: LinearCode, llr, drop_inactive: bool = False,
         max_iterations = n if not drop_inactive else 10 * n + 20
     try:
         sol = stats.tally(solve(make_problem(n, llr, [])))
-        current: list[tuple[int, FsInequality]] = []
+        current: list[FsInequality] = []
         while True:
             x = sol.x[:n]
             skip: set[int] = set()
             if drop_inactive:
                 kept = []
-                for ci, ineq in current:
-                    if ci not in skip and abs(ineq.violation(x)) <= FEAS_TOL:
-                        kept.append((ci, ineq))
-                        skip.add(ci)
+                for ineq in current:
+                    if ineq.check not in skip and abs(ineq.violation(x)) <= FEAS_TOL:
+                        kept.append(ineq)
+                        skip.add(ineq.check)
                 current = kept
-            new = []
-            for i, support in enumerate(h.layout.supports):
-                if support and i not in skip:
-                    cut = most_violated_fs_cut(support, x)
-                    if cut is not None:
-                        new.append((i, cut))
+            new = [cut for cut in row_fs_cuts(h, x) if cut.check not in skip]
             if not new:
                 break
             current.extend(new)
             if drop_inactive:
-                sol = solve(make_problem(
-                    n, llr, [ineq.as_lp_row() for _, ineq in current]))
+                sol = solve(make_problem(n, llr, [ineq.as_lp_row() for ineq in current]))
             else:
-                sol = add_rows_resolve(sol, [ineq.as_lp_row() for _, ineq in new])
+                sol = add_rows_resolve(sol, [ineq.as_lp_row() for ineq in new])
             stats.tally(sol)
             stats.cuts_added += len(new)
             stats.iterations += 1
@@ -639,28 +647,30 @@ def sum_product_decode(code: LinearCode, llr, max_iterations: int = 50) -> Decod
     return _message_passing(code, llr, max_iterations, use_min_sum=False)
 
 
+_DECODERS = {
+    "lp": lambda cfg, c, l: lp_decode(c, l, cfg.formulation),
+    "adaptive_lp": lambda cfg, c, l: adaptive_lp_decode(c, l, drop_inactive=False),
+    "adaptive_lp_drop": lambda cfg, c, l: adaptive_lp_decode(c, l, drop_inactive=True),
+    "cutting_plane": lambda cfg, c, l: cutting_plane_decode(
+        c, l, cfg.searchers, cfg.base, cfg.max_rounds, cfg.seed),
+    "branch_and_bound": lambda cfg, c, l: branch_and_bound_decode(
+        c, l, cfg.formulation, cfg.max_nodes, cfg.max_depth),
+    "variable_depth": lambda cfg, c, l: variable_depth_decode(c, l, cfg.depth),
+    "constant_depth": lambda cfg, c, l: constant_depth_decode(
+        c, l, cfg.depth, cfg.subset_size),
+    "facet_guessing": lambda cfg, c, l: facet_guessing_decode(
+        c, l, "exhaustive" if cfg.num_faces is None else "random",
+        cfg.num_faces, cfg.seed),
+    "bit_guessing": lambda cfg, c, l: bit_guessing_decode(
+        c, l, cfg.guess_scale, cfg.seed),
+    "min_sum": lambda cfg, c, l: min_sum_decode(c, l, cfg.max_iterations),
+    "sum_product": lambda cfg, c, l: sum_product_decode(c, l, cfg.max_iterations),
+}
+DECODERS = tuple(sorted(_DECODERS))
+
+
 def make_decoder(name: str, config: DecoderConfig | None = None):
     """Decoder registry for the harness and CLI; returns f(code, llr)."""
-    cfg = config or DecoderConfig()
-    table = {
-        "lp": lambda c, l: lp_decode(c, l, cfg.formulation),
-        "adaptive_lp": lambda c, l: adaptive_lp_decode(c, l, drop_inactive=False),
-        "adaptive_lp_drop": lambda c, l: adaptive_lp_decode(c, l, drop_inactive=True),
-        "cutting_plane": lambda c, l: cutting_plane_decode(
-            c, l, cfg.searchers, cfg.base, cfg.max_rounds, cfg.seed),
-        "branch_and_bound": lambda c, l: branch_and_bound_decode(
-            c, l, cfg.formulation, cfg.max_nodes, cfg.max_depth),
-        "variable_depth": lambda c, l: variable_depth_decode(c, l, cfg.depth),
-        "constant_depth": lambda c, l: constant_depth_decode(
-            c, l, cfg.depth, cfg.subset_size),
-        "facet_guessing": lambda c, l: facet_guessing_decode(
-            c, l, "exhaustive" if cfg.num_faces is None else "random",
-            cfg.num_faces, cfg.seed),
-        "bit_guessing": lambda c, l: bit_guessing_decode(c, l, cfg.guess_scale, cfg.seed),
-        "min_sum": lambda c, l: min_sum_decode(c, l, cfg.max_iterations),
-        "sum_product": lambda c, l: sum_product_decode(c, l, cfg.max_iterations),
-    }
-    try:
-        return table[name]
-    except KeyError:
-        raise ValueError(f"unknown decoder {name!r}; options: {sorted(table)}")
+    if name not in _DECODERS:
+        raise ValueError(f"unknown decoder {name!r}; options: {list(DECODERS)}")
+    return partial(_DECODERS[name], config or DecoderConfig())

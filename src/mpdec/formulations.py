@@ -10,12 +10,13 @@ checks (GF(2) row combinations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from itertools import combinations, compress
 
 import numpy as np
 
-from .gf2 import BinaryMatrix, LinearCode, _gauss_jordan, set_bits
+from .gf2 import (BinaryMatrix, LinearCode, _gauss_jordan, padded_supports,
+                  set_bits)
 from .simplex import LpProblem, LpRow, make_problem
 
 MAX_CHECK_DEGREE = 25
@@ -31,10 +32,13 @@ class FsInequality:
 
     `support` is the variable neighborhood of one parity check (original
     or redundant); `odd_subset` is the forbidden odd-cardinality pattern.
+    `check` is the row of H whose support it is, when separation was run
+    on the rows of H; it takes no part in equality or hashing.
     """
 
     support: tuple[int, ...]
     odd_subset: tuple[int, ...]
+    check: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.odd_subset) % 2 == 0:
@@ -52,10 +56,10 @@ class FsInequality:
         return LpRow(coeffs, "<=", float(self.rhs))
 
     def violation(self, x) -> float:
-        x = np.asarray(x, dtype=float)
         s = set(self.odd_subset)
-        lhs = sum(x[j] if j in s else -x[j] for j in self.support)
-        return float(lhs - self.rhs)
+        signs = [1.0 if j in s else -1.0 for j in self.support]
+        x = np.asarray(x, dtype=float)
+        return float(np.dot(signs, x[list(self.support)])) - self.rhs
 
 
 def _subsets(support, parity: int) -> list[tuple[int, ...]]:
@@ -336,30 +340,52 @@ def build_formulation(code: LinearCode, kind: str, objective) -> Formulation:
 # -- separation ----------------------------------------------------------------
 
 
-def most_violated_fs_cut(support, x, tol: float = CUT_TOL) -> FsInequality | None:
-    """Most violated forbidden-set inequality of one check at the point x.
+def separate_fs_cuts(cols, mask, x, tol: float = CUT_TOL,
+                     checks=None) -> list[FsInequality]:
+    """The most violated forbidden-set inequality of every support at once.
 
-    Thresholding at 1/2 gives the maximizing subset; if that subset has
-    even cardinality, toggling the single variable closest to 1/2 is
-    optimal among odd subsets.  Returns None if nothing is violated by
-    more than `tol`.
+    Row r of `cols` holds one support, ascending, where `mask` is True (the
+    shape of `BinaryMatrix.layout`); padding may hold any index.
+    Thresholding x at 1/2 gives each row's maximizing subset; if it is
+    even, toggling the entry nearest 1/2 (the least (|x_j - 1/2|, j)) is
+    optimal among odd subsets.  Violations are summed in support order.
+    Returns the cuts violated by more than `tol`, in row order; row r's
+    cut records `checks[r]` as its check when `checks` is given.
     """
-    support = tuple(support)
-    if not support:
+    vals = np.asarray(x, dtype=float).take(cols, mode="clip")
+    odd = mask & (vals > 0.5)
+    even = (odd.sum(axis=1) % 2 == 0).nonzero()[0]
+    toggle = np.where(mask, np.abs(vals - 0.5), np.inf).argmin(axis=1)
+    odd[even, toggle[even]] ^= True
+    lhs = np.where(mask, np.where(odd, vals, -vals), 0.0).cumsum(axis=1)[:, -1]
+    hit = ((lhs - (odd.sum(axis=1) - 1) > tol) & mask.any(axis=1)).nonzero()[0]
+    return [FsInequality(tuple(compress(row, real)), tuple(compress(row, chosen)),
+                         None if checks is None else int(checks[r]))
+            for r, row, real, chosen in zip(hit.tolist(), cols[hit].tolist(),
+                                            mask[hit].tolist(), odd[hit].tolist())]
+
+
+def most_violated_fs_cut(support, x, tol: float = CUT_TOL) -> FsInequality | None:
+    """Most violated forbidden-set inequality of one check at the point x,
+    or None if nothing is violated by more than `tol`."""
+    cols = np.array([sorted(support)], dtype=np.intp)
+    if not cols.size:
         return None
-    x = np.asarray(x, dtype=float)
-    subset = {j for j in support if x[j] > 0.5}
-    if len(subset) % 2 == 0:
-        toggle = min(support, key=lambda j: (abs(x[j] - 0.5), j))
-        subset.symmetric_difference_update({toggle})
-    ineq = FsInequality(tuple(sorted(support)), tuple(sorted(subset)))
-    return ineq if ineq.violation(x) > tol else None
+    cuts = separate_fs_cuts(cols, np.ones(cols.shape, dtype=bool), x, tol)
+    return cuts[0] if cuts else None
 
 
 def row_fs_cuts(h: BinaryMatrix, x, tol: float = CUT_TOL) -> list[FsInequality]:
-    """Per-row separation: the most violated FS inequality of every check."""
-    cuts = [most_violated_fs_cut(s, x, tol) for s in h.layout.supports if s]
-    return [cut for cut in cuts if cut is not None]
+    """Per-row separation: the most violated FS inequality of every check,
+    in check order, each recording its check."""
+    return separate_fs_cuts(h.layout.cols, h.layout.mask, x, tol, range(h.m))
+
+
+def _separate_words(h: BinaryMatrix, words, x) -> list[FsInequality]:
+    """Separate the distinct nonzero dual codewords among `words` (int
+    bitsets) as one batch, in first-seen order."""
+    words = list(dict.fromkeys(w for w in words if w))
+    return separate_fs_cuts(*padded_supports(words, h.n), x)
 
 
 def rpc_from_rows(h: BinaryMatrix, row_indices) -> tuple[int, ...]:
@@ -387,7 +413,8 @@ def rpc_cycle_cut_search(h: BinaryMatrix, x, rng_seed: int = 0,
     The Tanner graph is pruned to the fractional variables and their
     checks; random non-backtracking walks stop at the first repeated node,
     the checks along the closed part are XOR-summed into a redundant
-    parity check, and its most violated FS inequality (if any) is kept.
+    parity check.  The distinct checks found are separated as one batch,
+    in the order they were first found.
     """
     x = np.asarray(x, dtype=float)
     frac = _fractional_indices(x)
@@ -410,7 +437,7 @@ def rpc_cycle_cut_search(h: BinaryMatrix, x, rng_seed: int = 0,
     starts = [j for j in frac if var_adj[j]]
     if not starts:
         return []
-    cuts: dict[tuple, FsInequality] = {}
+    found: list[int] = []
     for _ in range(max_tries):
         node = ("v", starts[int(rng.integers(len(starts)))])
         path = [node]
@@ -431,25 +458,21 @@ def rpc_cycle_cut_search(h: BinaryMatrix, x, rng_seed: int = 0,
                     word = 0
                     for i in checks:
                         word ^= h.rows[i]
-                    if word:
-                        support = set_bits(word)
-                        cut = most_violated_fs_cut(support, x)
-                        if cut is not None:
-                            cuts[(cut.support, cut.odd_subset)] = cut
+                    found.append(word)
                 break
             prev = node
             node = nxt
             seen[node] = len(path)
             path.append(node)
-    return list(cuts.values())
+    return _separate_words(h, found, x)
 
 
 def matrix_adaptation_cut_search(h: BinaryMatrix, x) -> list[FsInequality]:
     """Pivot unit vectors into the fractional columns, then separate rows.
 
     Columns are processed most-fractional-first (ascending |x_j - 1/2|);
-    every row of the adapted matrix is a dual codeword and is handed to
-    the single-row separation routine.
+    the distinct nonzero rows of the adapted matrix are dual codewords and
+    are separated as one batch, in row order.
     """
     x = np.asarray(x, dtype=float)
     frac = _fractional_indices(x)
@@ -457,15 +480,7 @@ def matrix_adaptation_cut_search(h: BinaryMatrix, x) -> list[FsInequality]:
         return []
     rows = list(h.rows)
     _gauss_jordan(rows, sorted(frac, key=lambda j: (abs(x[j] - 0.5), j)))
-    cuts: dict[tuple, FsInequality] = {}
-    for word in rows:
-        if not word:
-            continue
-        support = set_bits(word)
-        cut = most_violated_fs_cut(support, x)
-        if cut is not None:
-            cuts[(cut.support, cut.odd_subset)] = cut
-    return list(cuts.values())
+    return _separate_words(h, rows, x)
 
 
 def has_lonely_fractional_neighbor(supports, x, tol: float = FRAC_TOL) -> bool:

@@ -13,6 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .simplex import COST_TOL
+
 
 def pack_bits(bits) -> int:
     """Pack an iterable of 0/1 values into an int bitset (LSB = index 0)."""
@@ -36,6 +38,20 @@ def set_bits(word: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         word ^= low
     return tuple(out)
+
+
+def padded_supports(words, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The supports of n-bit int bitsets as an (r, w) index array, each row
+    ascending and padded with the dummy column n, plus the (r, w) mask of its
+    real entries; w is the largest weight, at least 1."""
+    nbytes = (n + 7) // 8
+    packed = np.frombuffer(b"".join(w.to_bytes(nbytes, "little") for w in words),
+                           dtype=np.uint8).reshape(-1, nbytes)
+    bits = np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
+    width = max(int(bits.sum(axis=1).max(initial=0)), 1)
+    cols = np.sort(np.where(bits, np.arange(n, dtype=np.intp), n), axis=1)
+    cols = np.ascontiguousarray(cols[:, :width])
+    return cols, cols < n
 
 
 class CheckLayout(NamedTuple):
@@ -82,14 +98,9 @@ class BinaryMatrix:
     @cached_property
     def layout(self) -> CheckLayout:
         """The check-major layout, built on first use."""
-        supports = tuple(map(set_bits, self.rows))
-        cols = np.full((self.m, max(map(len, supports), default=0) or 1), self.n,
-                       dtype=np.intp)
-        for i, support in enumerate(supports):
-            cols[i, :len(support)] = support
-        mask = cols < self.n
+        cols, mask = padded_supports(self.rows, self.n)
         cols.flags.writeable = mask.flags.writeable = False
-        return CheckLayout(supports, cols, mask)
+        return CheckLayout(tuple(map(set_bits, self.rows)), cols, mask)
 
     def row_support(self, i: int) -> tuple[int, ...]:
         return self.layout.supports[i]
@@ -301,8 +312,9 @@ def _lex_key(word: int, n: int) -> tuple:
 def ml_bruteforce(code: LinearCode, llr) -> tuple[np.ndarray, float]:
     """Exact ML decoding by enumeration: the codeword minimizing llr . x.
 
-    Ties are broken by the lexicographically smallest codeword so the
-    oracle is deterministic.
+    Codewords whose values lie within COST_TOL of the minimum tie, and the
+    lexicographically smallest of them wins (the rule of the LP searches'
+    incumbent), so the oracle is deterministic.
     """
     llr = np.asarray(llr, dtype=float)
     if llr.shape != (code.n,):
@@ -312,16 +324,23 @@ def ml_bruteforce(code: LinearCode, llr) -> tuple[np.ndarray, float]:
     if code.k <= 16:
         cw = _codeword_cache(code)
         vals = cw @ llr
-        best = np.flatnonzero(vals == vals.min())
-        if len(best) == 1:
-            i = best[0]
-        else:
-            i = min(best, key=lambda b: tuple(cw[b]))
+        best = np.flatnonzero(vals <= vals.min() + COST_TOL)
+        i = min(best, key=lambda b: tuple(cw[b]))
         return cw[i].copy(), float(vals[i])
+    low = min(val for _, val in _gray_values(code, llr))
+    best_word, best_val = min(((w, v) for w, v in _gray_values(code, llr)
+                               if v <= low + COST_TOL),
+                              key=lambda wv: _lex_key(wv[0], code.n))
+    return unpack_bits(best_word, code.n), float(best_val)
+
+
+def _gray_values(code: LinearCode, llr: np.ndarray):
+    """Every codeword as (word, llr . word), in Gray-code order from the
+    zero word, each value updated from the last."""
     gens = code.generator_rows
     word = 0
     val = 0.0
-    best_word, best_val = 0, 0.0
+    yield word, val
     for i in range(1, 1 << len(gens)):
         g = gens[(i & -i).bit_length() - 1]
         sign = word & g
@@ -329,10 +348,7 @@ def ml_bruteforce(code: LinearCode, llr) -> tuple[np.ndarray, float]:
         # incremental objective: bits newly set add, bits cleared subtract
         for j in set_bits(g):
             val += -llr[j] if (sign >> j) & 1 else llr[j]
-        if val < best_val - 1e-15 or (abs(val - best_val) <= 1e-15
-                                      and _lex_key(word, code.n) < _lex_key(best_word, code.n)):
-            best_word, best_val = word, val
-    return unpack_bits(best_word, code.n), float(best_val)
+        yield word, val
 
 
 _CODEWORD_CACHE: dict[tuple, np.ndarray] = {}

@@ -394,3 +394,68 @@ def test_solver_counters_are_deterministic(code84, hamming):
     # the root solve is branch & bound's first solve, so its counts are included
     root, tree = lp_decode(hamming, lam).stats, branch_and_bound_decode(hamming, lam).stats
     assert tree.pivots > root.pivots and tree.refactors > root.refactors
+
+
+def test_branch_and_bound_tie_matches_oracle():
+    # full_lp_n32's code, BSC p=0.10, campaign seed 901, trial 21: branch &
+    # bound certifies a codeword whose cost ties the oracle's in the last
+    # bit; the oracle used to tie only on exact float equality
+    from mpdec.channels import Bsc, llr, transmit, trial_rng
+    from mpdec.gf2 import random_regular_ldpc
+    code = random_regular_ldpc(32, 3, 4, 7)
+    channel = Bsc(0.10)
+    lam = llr(transmit(np.zeros(32, dtype=np.uint8), channel,
+                       trial_rng(901, 0, 21)), channel)
+    res = branch_and_bound_decode(code, lam)
+    cw, val = ml_bruteforce(code, lam)
+    assert res.status is DecodeStatus.ML_CERTIFIED and res.stats.branch_nodes > 0
+    assert np.array_equal(res.codeword(), cw) and res.value == val
+
+
+def test_batch_separation_decodes_like_the_reference(monkeypatch):
+    # the first 20 frames of the cuts_n120 benchmark campaign (seed 3): the
+    # batch separation must hand the LP the very cuts, in the very order, of
+    # the per-support routine it replaced
+    import mpdec.decoders as decoders
+    import mpdec.formulations as formulations
+    from mpdec.channels import Biawgn, llr, transmit, trial_rng
+    from mpdec.gf2 import random_regular_ldpc
+    from conftest import (reference_adaptive_lp, reference_row_fs_cuts,
+                          reference_separate_words)
+    code = random_regular_ldpc(120, 3, 6, 620)
+    channel = Biawgn(0.75)
+    frames = [llr(transmit(np.zeros(120, dtype=np.uint8), channel,
+                           trial_rng(3, 0, t)), channel) for t in range(20)]
+    fractional = 0
+    for lam in frames:
+        for drop in (False, True):
+            res = adaptive_lp_decode(code, lam, drop_inactive=drop)
+            sol, counts = reference_adaptive_lp(code, lam, drop)
+            x = sol.x[:120]
+            if res.status is DecodeStatus.FRACTIONAL_FAILURE:
+                fractional += 1
+                assert res.value == sol.value
+            else:
+                assert res.status is DecodeStatus.ML_CERTIFIED
+                x = np.round(x)
+                assert res.value == float(lam @ x)
+            assert np.array_equal(res.point, x)
+            stats = res.stats
+            assert (stats.cuts_added, stats.pivots, stats.iterations) == counts
+    assert fractional > 0
+
+    def cutting_planes():
+        out = []
+        for lam in frames:
+            for searcher, seed in (("adaptation", 0), ("cycle", 7)):
+                r = cutting_plane_decode(code, lam, (searcher,), max_rounds=15,
+                                         rng_seed=seed)
+                out.append((r.status, r.value, r.point.tolist(), r.stats.cuts_added,
+                            r.stats.pivots, r.stats.iterations))
+        return out
+
+    got = cutting_planes()
+    monkeypatch.setattr(decoders, "row_fs_cuts", reference_row_fs_cuts)
+    monkeypatch.setattr(formulations, "_separate_words", reference_separate_words)
+    assert got == cutting_planes()
+    assert any(status is DecodeStatus.FRACTIONAL_FAILURE for status, *_ in got)

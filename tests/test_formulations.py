@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpdec.formulations import (FsInequality, build_cascade_lp,
+import mpdec.formulations as formulations
+from mpdec.formulations import (CUT_TOL, FsInequality, build_cascade_lp,
                                 build_config_lp, build_count_lp,
                                 build_edge_lp, build_formulation, build_fs_lp,
                                 build_parity_relax_lp, decompose_checks,
@@ -16,12 +17,14 @@ from mpdec.formulations import (FsInequality, build_cascade_lp,
                                 has_lonely_fractional_neighbor,
                                 matrix_adaptation_cut_search,
                                 most_violated_fs_cut, row_fs_cuts,
-                                rpc_cycle_cut_search, rpc_from_rows)
+                                rpc_cycle_cut_search, rpc_from_rows,
+                                separate_fs_cuts)
 from mpdec.gf2 import (BinaryMatrix, LinearCode, enumerate_codewords,
                        ml_bruteforce, pack_bits, syndrome)
 from mpdec.simplex import add_rows_resolve, solve
 
-from conftest import random_sparse_code
+from conftest import (random_sparse_code, reference_most_violated_fs_cut,
+                      reference_row_fs_cuts, reference_separate_words)
 
 
 def spc3():
@@ -437,3 +440,82 @@ def test_decoding_code_a_then_b_then_a(code84, hamming):
     assert run(b, lam_b) == other
     assert a.lp_cache["fs"] is not b.lp_cache["fs"]
     assert len(a.lp_cache["fs"].lp.rows) == 32 and len(b.lp_cache["fs"].lp.rows) == 24
+
+
+# -- batch separation -------------------------------------------------------------
+
+# exact halves and pairs at equal distance from 1/2 exercise the toggle tie rule
+_X_ENTRY = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.25, 0.75, 0.4, 0.6]),
+                     st.floats(0.0, 1.0))
+
+
+@given(st.lists(st.lists(_X_ENTRY, min_size=1, max_size=8), min_size=1, max_size=6),
+       st.sampled_from([CUT_TOL, 0.0]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_batch_separation_is_maximal_and_matches_reference(rows, tol, data):
+    x = np.array([v for row in rows for v in row])
+    perm = data.draw(st.permutations(range(len(x))))
+    supports, start = [], 0
+    for row in rows:
+        supports.append(sorted(perm[start:start + len(row)]))
+        start += len(row)
+    width = max(map(len, supports))
+    cols = np.array([s + [len(x)] * (width - len(s)) for s in supports])
+    cuts = separate_fs_cuts(cols, cols < len(x), x, tol, checks=range(len(rows)))
+    assert [c.check for c in cuts] == sorted(c.check for c in cuts)
+    by_row = {c.check: c for c in cuts}
+    for r, support in enumerate(supports):
+        got = by_row.get(r)
+        assert got == reference_most_violated_fs_cut(support, x, tol)
+        assert got == most_violated_fs_cut(support, x, tol)
+        best = max(ineq.violation(x) for ineq in fs_inequalities(support))
+        if got is None:
+            assert best <= tol + 1e-12
+        else:
+            assert got.violation(x) > tol
+            assert got.violation(x) == pytest.approx(best, abs=1e-12)
+
+
+def _fractional_points(code, rng, count):
+    from mpdec.decoders import DecodeStatus, lp_decode
+    points = []
+    while len(points) < count:
+        res = lp_decode(code, rng.standard_normal(code.n) + 0.5)
+        if res.status is DecodeStatus.FRACTIONAL_FAILURE:
+            points.append(res.point)
+    return points
+
+
+def test_cut_searches_match_reference(code84, monkeypatch):
+    rng = np.random.default_rng(98)
+    cases = [(code84, x) for x in _fractional_points(code84, rng, 10)]
+    code = random_sparse_code(rng, 12, 7)
+    cases += [(code, x) for x in _fractional_points(code, rng, 10)]
+    cases += [(code84, rng.random(8)), (code84, rng.integers(0, 2, 8) / 2.0)]
+
+    def run():
+        return [(row_fs_cuts(c.H, x), [cut.check for cut in row_fs_cuts(c.H, x)],
+                 matrix_adaptation_cut_search(c.H, x),
+                 rpc_cycle_cut_search(c.H, x, rng_seed=t))
+                for t, (c, x) in enumerate(cases)]
+
+    got = run()
+    monkeypatch.setattr(formulations, "_separate_words", reference_separate_words)
+    assert got == [(reference_row_fs_cuts(c.H, x),
+                    [cut.check for cut in reference_row_fs_cuts(c.H, x)],
+                    matrix_adaptation_cut_search(c.H, x),
+                    rpc_cycle_cut_search(c.H, x, rng_seed=t))
+                   for t, (c, x) in enumerate(cases)]
+    assert any(g[2] for g in got) and any(g[3] for g in got)
+
+
+def test_batch_separation_sums_in_support_order():
+    # 0.8 + 0.9 + 0.7 - 0.4 - 2 is 4.4e-16 summed left to right and 0.0
+    # right to left: at tol=0 the cut exists only in support order, as it
+    # did for the per-support routine
+    x = np.array([0.8, 0.9, 0.7, 0.4])
+    want = reference_most_violated_fs_cut((0, 1, 2, 3), x, tol=0.0)
+    assert want is not None and want.odd_subset == (0, 1, 2)
+    assert most_violated_fs_cut((3, 1, 0, 2), x, tol=0.0) == want
+    cuts = row_fs_cuts(BinaryMatrix(4, (0, 0b1111)), x, tol=0.0)
+    assert cuts == [want] and cuts[0].check == 1

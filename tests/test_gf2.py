@@ -13,7 +13,7 @@ from mpdec.gf2 import (BinaryMatrix, LinearCode, TannerGraph,
                        random_regular_ldpc, rank, rref, save_alist,
                        set_bits, spc_product_code, syndrome, unpack_bits)
 
-from conftest import H84_ARRAY
+from conftest import H84_ARRAY, random_sparse_code
 
 
 binary_matrices = st.integers(1, 6).flatmap(
@@ -121,6 +121,23 @@ def test_check_layout_is_lazy_and_padded():
     assert not h.layout.cols.flags.writeable
     assert TannerGraph.from_matrix(h).check_neighbors == h.layout.supports
     assert TannerGraph.from_matrix(h).var_neighbors == ((0,), (0, 1), (1,), (1,))
+
+
+def test_check_layout_of_multibyte_rows():
+    # rows wider than one byte, an empty row and a lone bit: the padded
+    # arrays must list each row's bits in order, and stay contiguous
+    rng = np.random.default_rng(99)
+    for code in (random_regular_ldpc(24, 3, 6, 1), random_sparse_code(rng, 15, 9, 1, 6),
+                 LinearCode(BinaryMatrix(19, (0, (1 << 18) | 0b101101, 0, 0b1)))):
+        h = code.H
+        layout = h.layout
+        assert layout.supports == tuple(
+            tuple(j for j in range(h.n) if (r >> j) & 1) for r in h.rows)
+        for support, cols, mask in zip(layout.supports, layout.cols, layout.mask):
+            assert tuple(cols[mask]) == support and not mask[len(support):].any()
+            assert (cols[~mask] == h.n).all()
+        assert layout.cols.shape[1] == max(1, max(map(len, layout.supports)))
+        assert layout.cols.flags.c_contiguous and layout.mask.flags.c_contiguous
 
 
 def test_enumerate_spc3():
@@ -343,3 +360,19 @@ def test_alist_error_messages(text, message):
     with pytest.raises(ValueError) as info:
         load_alist(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_ml_bruteforce_ties_within_cost_tol(n):
+    # n=17 enumerates through the codeword table (k=16), n=18 through the
+    # Gray-code walk (k=17); both count a word within COST_TOL of the
+    # minimum as tied, so the lexicographically smaller zero word wins
+    code = LinearCode(BinaryMatrix(n, ((1 << n) - 1,)))
+    lam = np.ones(n)
+    lam[0], lam[1] = -1.0, 1.0 - 3e-10
+    cw, val = ml_bruteforce(code, lam)
+    assert not cw.any() and val == 0.0
+    lam[1] = 1.0 - 3e-9
+    cw, val = ml_bruteforce(code, lam)
+    assert cw.tolist() == [1, 1] + [0] * (n - 2)
+    assert val == pytest.approx(-3e-9, abs=1e-15)

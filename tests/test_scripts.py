@@ -23,3 +23,14 @@ def test_script_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *ARGS[script]],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_python_dash_m_mpdec(tmp_path):
+    # the CLI runs as a module without an install: only src/ on the path
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = ["decode", "--code", "spc:3,3", "--llr", "1,1,1,1,-1,1,1,1,1",
+            "--decoder", "adaptive_lp"]
+    proc = subprocess.run([sys.executable, "-m", "mpdec", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("status=ml_certified value=0 ")

@@ -279,3 +279,43 @@ def test_cli_simulate(tmp_path, capsys):
     assert "decoder,point,frames" in text
     printed = capsys.readouterr().out
     assert "fer=" in printed and "ci95=" in printed
+
+
+def test_parse_sim_config_rejects_unknown_names_up_front():
+    # these used to parse and only fail inside the campaign, with a bare
+    # KeyError for an unknown searcher
+    base = "code = spc:3,3\npoints = 0.1\n"
+    for line, key in (("decoders = lp,bogus\n", "decoders="),
+                      ("decoders = lp\ndecoder.searchers = adaptation,bogus\n",
+                       "decoder.searchers"),
+                      ("decoders = lp\ndecoder.formulation = bogus\n",
+                       "decoder.formulation"),
+                      ("decoders = lp\ndecoder.base = bogus\n", "decoder.base")):
+        with pytest.raises(ValueError, match=key) as err:
+            parse_sim_config_text(base + line)
+        assert "bogus" in str(err.value)
+    for kwargs in ({"formulation": "bogus"}, {"base": "bogus"},
+                   {"searchers": ("cycle", "bogus")}):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            DecoderConfig(**kwargs)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["decode", "--code", "random:32,3,4", "--llr", "1"], "random:n,dv,dc,seed"),
+    (["decode", "--code", "spc:3,x", "--llr", "1"], "spc:d1,d2"),
+    (["decode", "--code", "spc:3,3", "--channel", "bsc:abc"], "bsc:0.05"),
+    (["decode", "--code", "spc:3,3", "--channel", "awgn:0.5"], "bsc:0.05"),
+    (["decode", "--code", "spc:3,3", "--llr", "1,x,1"], "--llr"),
+    (["decode", "--code", "spc:3,3", "--llr", "1,1"], "9 LLR values"),
+    (["decode", "--code", "spc:3,3", "--llr", "1,1,1,1,1,1,1,1,1",
+      "--decoder", "bogus"], "--decoder"),
+    (["decode", "--code", "spc:3,3"], "--llr or --channel"),
+    (["mindist", "--code", "no/such/file.alist"], "no/such/file.alist"),
+])
+def test_cli_input_errors_are_usage_errors(argv, expected, capsys):
+    # each used to end in a raw traceback (or a bare unpacking error)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and expected in err
