@@ -124,8 +124,6 @@ def parse_sim_config_text(text: str) -> SimConfig:
             current = getattr(DecoderConfig(), name)
             if isinstance(current, tuple):
                 dc_kwargs[name] = tuple(value.split(","))
-            elif isinstance(current, bool):
-                dc_kwargs[name] = value.lower() in ("1", "true", "yes")
             elif isinstance(current, (int, float)) or fields[name] == "int | None":
                 dc_kwargs[name] = _config_number(
                     key, value, float if isinstance(current, float) else int)

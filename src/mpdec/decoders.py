@@ -98,15 +98,21 @@ class DecoderConfig:
 
     def __post_init__(self):
         for name in ("max_rounds", "max_iterations", "max_nodes", "depth",
-                     "subset_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        for name in ("max_depth", "num_faces"):
+                     "subset_size", "max_depth", "num_faces", "seed"):
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, int) or value < 1):
-                raise ValueError(f"{name} must be None or a positive int, "
-                                 f"got {value!r}")
+            if value is None and name in ("max_depth", "num_faces"):
+                continue
+            least = 0 if name == "seed" else 1
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
+        if self.subset_size > self.depth:
+            raise ValueError(f"subset_size must not exceed depth, got "
+                             f"{self.subset_size} > {self.depth}")
+        scale = self.guess_scale
+        if (isinstance(scale, bool) or not isinstance(scale, (int, float))
+                or not 1 <= scale < math.inf):
+            raise ValueError(f"guess_scale must be a finite number of at least 1, "
+                             f"got {scale!r}")
         for name in ("formulation", "base"):
             if getattr(self, name) not in FORMULATIONS:
                 raise ValueError(f"{name} must be one of {FORMULATIONS}, "
@@ -130,13 +136,46 @@ def _solver_error(stats: DecodeStats, t0: float) -> DecodeResult:
     return DecodeResult(DecodeStatus.SOLVER_ERROR, None, math.nan, stats)
 
 
-def _root(code: LinearCode, llr, formulation: str,
-          stats: DecodeStats) -> tuple[Formulation, LpSolution]:
-    """Build and solve the root relaxation; LpSolverError unless optimal."""
-    form = build_formulation(code, formulation, llr)
-    sol = stats.tally(solve(form.lp))
+def _separate_until_clean(sol: LpSolution, stats: DecodeStats, code: LinearCode,
+                          max_rounds: float = math.inf, searchers=(),
+                          seed: int = 0) -> LpSolution:
+    """The one separation loop: add the most violated forbidden-set row of
+    every check, or at a clean non-codeword the cuts of the first of the
+    `searchers` (H, x, seed + iterations) -> cuts that yields any, and warm
+    re-solve (one iteration).  Returns the last solution: once nothing is
+    added, after `max_rounds` re-solves, or when one is not optimal."""
+    start = stats.iterations
+    while sol.optimal and stats.iterations - start < max_rounds:
+        x = sol.x[:code.n]
+        cuts = row_fs_cuts(code.H, x)
+        if not cuts and searchers and not _certified(code, x):
+            for searcher in searchers:
+                cuts = searcher(code.H, x, seed + stats.iterations)
+                if cuts:
+                    break
+        if not cuts:
+            break
+        sol = stats.tally(add_rows_resolve(sol, [c.as_lp_row() for c in cuts]))
+        stats.cuts_added += len(cuts)
+        stats.iterations += 1
+    return sol
+
+
+def _root(code: LinearCode, llr, formulation: str | None, stats: DecodeStats,
+          separate=None) -> tuple[Formulation | None, LpSolution]:
+    """Build and solve the root relaxation, the box LP when `formulation`
+    is None (form None), then apply `separate(sol, stats)` if given;
+    LpSolverError unless the result is optimal."""
+    if formulation is None:
+        form, sol = None, stats.tally(solve(make_problem(code.n, llr, [])))
+    else:
+        form = build_formulation(code, formulation, llr)
+        sol = stats.tally(solve(form.lp))
+    if separate is not None:
+        sol = separate(sol, stats)
     if not sol.optimal:
         raise LpSolverError("root relaxation not optimal")
+    stats.final_rows = sol.num_rows
     return form, sol
 
 
@@ -146,10 +185,11 @@ class _Incumbent:
     Its value is the codeword's exact cost llr @ point, not the LP value of
     the solve that found it.  A candidate wins when that cost is lower by
     more than COST_TOL, or ties within COST_TOL and is lexicographically
-    smaller: the brute-force oracle's convention.  Searches prune nodes that
-    cannot win, so among tied ML codewords the result is the smallest of
-    those the search met.  A root certificate is whichever tied vertex the
-    root solve ended at, which need not be the oracle's choice.
+    smaller: the brute-force oracle's convention.  Searches prune only nodes
+    that cannot win.  Branch & bound (its root separated from the box, every
+    node separated) returns the oracle's codeword among ties, the other
+    searches the smallest tied codeword they met, and a decoder that does
+    not search whichever tied vertex its last solve ended at.
     """
 
     def __init__(self, code: LinearCode, llr: np.ndarray):
@@ -172,8 +212,12 @@ class _Incumbent:
             self.point = point
         return True
 
-    def prunes(self, value: float) -> bool:
-        return value >= self.value - COST_TOL
+    def prunes(self, value: float, floor=None) -> bool:
+        """No codeword costing at least value (and bitwise at least the 0/1
+        word floor) can win."""
+        return value > self.value + COST_TOL or (
+            floor is not None and value >= self.value - COST_TOL
+            and tuple(floor) >= tuple(self.point))
 
     def result(self, complete: bool, relaxed: LpSolution, stats: DecodeStats,
                t0: float) -> DecodeResult:
@@ -188,35 +232,27 @@ class _Incumbent:
         return DecodeResult(status, self.point, self.value, stats)
 
 
-def _finish_lp_result(code: LinearCode, llr: np.ndarray, sol: LpSolution,
-                      stats: DecodeStats, t0: float) -> DecodeResult:
-    """ML_CERTIFIED if the optimum sol is an integral codeword, else
-    FRACTIONAL_FAILURE."""
-    incumbent = _Incumbent(code, llr)
-    return incumbent.result(incumbent.offer(sol), sol, stats, t0)
+def _search_from_root(code: LinearCode, llr, formulation: str | None,
+                      search=None, separate=None) -> DecodeResult:
+    """The shared scaffold of the LP decoders.
 
-
-def _search_from_root(code: LinearCode, llr, formulation: str,
-                      search=None) -> DecodeResult:
-    """The shared scaffold of the LP search decoders.
-
-    Solves the root relaxation and returns ML_CERTIFIED when its optimum is
-    an integral codeword.  Otherwise `search(form, root, incumbent, stats)`
-    offers its candidates to the incumbent and returns True if it covered
-    the whole code; the result is the incumbent (ML_CERTIFIED after a
-    complete search, else CODEWORD_FOUND) or, with none, the root
-    pseudocodeword as FRACTIONAL_FAILURE.  Solver trouble anywhere gives
-    SOLVER_ERROR.
+    Solves the root relaxation (`_root`); an integral codeword optimum is
+    ML_CERTIFIED, unless branch & bound (`search` and `separate` both
+    given) goes on to look for tied smaller codewords.  Otherwise
+    `search(form, root, incumbent, stats)` offers candidates to the
+    incumbent and returns True if it covered the whole code; the result is
+    the incumbent (ML_CERTIFIED after a complete search, else
+    CODEWORD_FOUND) or the root pseudocodeword as FRACTIONAL_FAILURE.
+    Solver trouble anywhere gives SOLVER_ERROR.
     """
     t0 = time.perf_counter()
     llr = np.asarray(llr, dtype=float)
     stats = DecodeStats()
     incumbent = _Incumbent(code, llr)
     try:
-        form, root = _root(code, llr, formulation, stats)
-        stats.final_rows = len(form.lp.rows)
+        form, root = _root(code, llr, formulation, stats, separate)
         complete = incumbent.offer(root)
-        if not complete and search is not None:
+        if search is not None and (separate is not None or not complete):
             complete = search(form, root, incumbent, stats)
     except LpSolverError:
         return _solver_error(stats, t0)
@@ -228,56 +264,47 @@ def lp_decode(code: LinearCode, llr, formulation: str = "fs") -> DecodeResult:
     return _search_from_root(code, llr, formulation)
 
 
-def adaptive_lp_decode(code: LinearCode, llr, drop_inactive: bool = False,
-                       max_iterations: int | None = None) -> DecodeResult:
+def _drop_inactive_rounds(sol: LpSolution, stats: DecodeStats, code: LinearCode,
+                          llr, max_rounds: int) -> LpSolution:
+    """Adaptive LP's drop mode: each round keeps one tight row per check,
+    separates the other checks and re-solves from scratch over both."""
+    current: list[FsInequality] = []
+    while sol.optimal and stats.iterations < max_rounds:
+        x = sol.x[:code.n]
+        kept: list[FsInequality] = []
+        skip: set[int] = set()
+        for ineq in current:
+            if ineq.check not in skip and abs(ineq.violation(x)) <= FEAS_TOL:
+                kept.append(ineq)
+                skip.add(ineq.check)
+        new = [cut for cut in row_fs_cuts(code.H, x) if cut.check not in skip]
+        if not new:
+            break
+        current = kept + new
+        sol = stats.tally(solve(make_problem(code.n, llr, [c.as_lp_row() for c in current])))
+        stats.cuts_added += len(new)
+        stats.iterations += 1
+    return sol
+
+
+def adaptive_lp_decode(code: LinearCode, llr,
+                       drop_inactive: bool = False) -> DecodeResult:
     """Separation-based LP decoding starting from the bare box LP.
 
     Each iteration adds the most violated forbidden-set inequality of every
     check and re-solves; it stops when no check is violated, at which point
-    the value equals the full forbidden-set LP optimum.  With
-    `drop_inactive`, rows that are not tight are discarded each iteration
-    and separation skips checks that already have a tight row, keeping at
-    most one row per check in the problem (at the price of more
-    iterations).
+    the value equals the full forbidden-set LP optimum, within n iterations
+    (Taghavi & Siegel 2008; more is a SOLVER_ERROR).  `drop_inactive` keeps
+    at most one row per check, at the price of up to 10n + 20 iterations.
     """
     t0 = time.perf_counter()
-    llr = np.asarray(llr, dtype=float)
-    n, h = code.n, code.H
-    stats = DecodeStats()
-    if max_iterations is None:
-        max_iterations = n if not drop_inactive else 10 * n + 20
-    try:
-        sol = stats.tally(solve(make_problem(n, llr, [])))
-        current: list[FsInequality] = []
-        while True:
-            x = sol.x[:n]
-            skip: set[int] = set()
-            if drop_inactive:
-                kept = []
-                for ineq in current:
-                    if ineq.check not in skip and abs(ineq.violation(x)) <= FEAS_TOL:
-                        kept.append(ineq)
-                        skip.add(ineq.check)
-                current = kept
-            new = [cut for cut in row_fs_cuts(h, x) if cut.check not in skip]
-            if not new:
-                break
-            current.extend(new)
-            if drop_inactive:
-                sol = solve(make_problem(n, llr, [ineq.as_lp_row() for ineq in current]))
-            else:
-                sol = add_rows_resolve(sol, [ineq.as_lp_row() for ineq in new])
-            stats.tally(sol)
-            stats.cuts_added += len(new)
-            stats.iterations += 1
-            if stats.iterations > max_iterations:
-                return _solver_error(stats, t0)
-            if not sol.optimal:
-                return _solver_error(stats, t0)
-    except LpSolverError:
-        return _solver_error(stats, t0)
-    stats.final_rows = len(current)
-    return _finish_lp_result(code, llr, sol, stats, t0)
+    if drop_inactive:
+        cap, loop = 10 * code.n + 20, partial(_drop_inactive_rounds, llr=llr)
+    else:
+        cap, loop = code.n, _separate_until_clean
+    res = _search_from_root(code, llr, None,
+                            separate=partial(loop, code=code, max_rounds=cap + 1))
+    return _solver_error(res.stats, t0) if res.stats.iterations > cap else res
 
 
 _SEARCHERS = {
@@ -289,46 +316,16 @@ _SEARCHERS = {
 def cutting_plane_decode(code: LinearCode, llr, searchers=("adaptation",),
                          base: str = "parity_relax", max_rounds: int = 100,
                          rng_seed: int = 0) -> DecodeResult:
-    """Generic cutting-plane loop over a base relaxation.
-
-    Every round first separates the original rows, then runs the given
-    redundant-parity-check searchers in order until one yields cuts; all
-    cuts are valid for the codeword polytope, so an integral codeword
-    optimum is the ML word.  Searchers are names ("adaptation", "cycle")
-    or callables (H, x, seed) -> [FsInequality].
+    """The separation loop for at most `max_rounds` re-solves over a base
+    relaxation built in full, with redundant-parity-check `searchers`: names
+    ("adaptation", "cycle") or callables (H, x, seed) -> violated
+    [FsInequality].  All cuts are valid for the codeword polytope, so an
+    integral codeword optimum is the ML word.
     """
-    t0 = time.perf_counter()
-    llr = np.asarray(llr, dtype=float)
-    stats = DecodeStats()
     chain = [_SEARCHERS[s] if isinstance(s, str) else s for s in searchers]
-    seen: set[tuple] = set()
-    try:
-        form, sol = _root(code, llr, base, stats)
-        for _ in range(max_rounds):
-            if not sol.optimal:
-                return _solver_error(stats, t0)
-            x = sol.x[:code.n]
-            if _certified(code, x):
-                break
-            cuts = [c for c in row_fs_cuts(code.H, x)
-                    if (c.support, c.odd_subset) not in seen]
-            if not cuts:
-                for searcher in chain:
-                    cuts = [c for c in searcher(code.H, x, rng_seed + stats.iterations)
-                            if (c.support, c.odd_subset) not in seen]
-                    if cuts:
-                        break
-            if not cuts:
-                break
-            for c in cuts:
-                seen.add((c.support, c.odd_subset))
-            sol = stats.tally(add_rows_resolve(sol, [c.as_lp_row() for c in cuts]))
-            stats.cuts_added += len(cuts)
-            stats.iterations += 1
-    except LpSolverError:
-        return _solver_error(stats, t0)
-    stats.final_rows = len(form.lp.rows) + stats.cuts_added
-    return _finish_lp_result(code, llr, sol, stats, t0)
+    return _search_from_root(code, llr, base, separate=partial(
+        _separate_until_clean, code=code, max_rounds=max_rounds, searchers=chain,
+        seed=rng_seed))
 
 
 def fractional_distance(code: LinearCode, formulation: str = "fs") -> float:
@@ -399,8 +396,8 @@ def bit_guessing_decode(code: LinearCode, llr, c: float = 1.0,
                         rng_seed: int = 0) -> DecodeResult:
     """Fix ceil(c log2 n) random bits every possible way and keep the best
     integral re-solve."""
-    if c < 1:
-        raise ValueError("c must be at least 1")
+    if not 1 <= c < math.inf:
+        raise ValueError("c must be a finite number of at least 1")
 
     def search(form, root, incumbent, stats):
         k = min(code.n, math.ceil(c * math.log2(max(code.n, 2))))
@@ -425,49 +422,51 @@ def _least_certain(x, count: int) -> list[int]:
 def branch_and_bound_decode(code: LinearCode, llr, formulation: str = "fs",
                             max_nodes: int = 100_000,
                             max_depth: int | None = None) -> DecodeResult:
-    """Depth-first LP branch & bound; exact ML when the tree is exhausted.
+    """Depth-first LP branch & cut; exact ML when the tree is exhausted.
 
-    Branches on the fractional variable closest to 1/2 (on the lowest
-    unfixed one at an integral non-codeword) with the 0-child explored
-    first; nodes are pruned at incumbent value minus COST_TOL.
+    The root ("fs": the box LP, else the full `formulation`) and every
+    child, once its bit is pinned, run the separation loop.  A fractional
+    node branches on the bit closest to 1/2, a codeword node on its lowest
+    unpinned 1, 0-child first, and only nodes that cannot win are pruned,
+    so a certificate is the oracle's codeword among ties whichever tied
+    vertex a solve ends at.
     """
     n = code.n
+    separate = partial(_separate_until_clean, code=code)
 
     def search(form, root, incumbent, stats):
         exhausted = True
-        # stack entries: (parent solution, var, value, depth, fixed set)
-        stack: list[tuple] = []
-
-        def branch(sol: LpSolution, depth: int, fixed: set[int]):
-            nonlocal exhausted
-            x = sol.x[:n]
-            if is_integral(x) and len(fixed) >= n:
-                return
-            if max_depth is not None and depth >= max_depth:
-                exhausted = False
-                return
-            # pinned bits are integral, so a fractional bit is never fixed
-            frac = _least_certain(x, 1)
-            j = frac[0] if frac else min(set(range(n)) - fixed)
-            child_fixed = fixed | {j}
-            stack.append((sol, j, 1.0, depth + 1, child_fixed))
-            stack.append((sol, j, 0.0, depth + 1, child_fixed))
-
-        branch(root, 0, set())
+        # (solution, bit, value, depth, pins): the node pinning bit to value
+        # on solution, or the root; pins is -1 on each free bit
+        stack = [(root, None, None, 0, np.full(n, -1, dtype=np.int8))]
         while stack:
-            if stats.branch_nodes >= max_nodes:
-                return False
-            parent, j, v, depth, fixed = stack.pop()
-            if incumbent.prunes(parent.value):
+            sol, j, v, depth, pins = stack.pop()
+            # every codeword below is bitwise at least its pinned 1s
+            floor = (pins > 0).astype(np.uint8)
+            if incumbent.prunes(sol.value, floor):
                 continue
-            child = stats.tally(fix_variable_resolve(parent, j, v))
-            stats.branch_nodes += 1
-            if (child.optimal and not incumbent.offer(child)
-                    and not incumbent.prunes(child.value)):
-                branch(child, depth, fixed)
+            if j is not None:
+                if stats.branch_nodes >= max_nodes:
+                    return False
+                sol = separate(stats.tally(fix_variable_resolve(sol, j, v)), stats)
+                stats.branch_nodes += 1
+                if not sol.optimal or incumbent.prunes(sol.value, floor):
+                    continue
+                incumbent.offer(sol)
+            x = sol.x[:n]
+            # a pinned bit is integral, and a clean integral point a codeword
+            free = _least_certain(x, 1) or np.flatnonzero((x > 0.5) & (pins < 0)).tolist()
+            if free and max_depth is not None and depth >= max_depth:
+                exhausted = False
+            elif free:
+                for value in (1, 0):
+                    child = pins.copy()
+                    child[free[0]] = value
+                    stack.append((sol, free[0], float(value), depth + 1, child))
         return exhausted
 
-    return _search_from_root(code, llr, formulation, search)
+    return _search_from_root(code, llr, None if formulation == "fs" else formulation,
+                             search, separate)
 
 
 def variable_depth_decode(code: LinearCode, llr, depth: int = 8) -> DecodeResult:

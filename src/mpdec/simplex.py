@@ -20,9 +20,10 @@ pivots by eta updates.
 
 Solver states are reusable: `add_rows_resolve` and `fix_variable_resolve`
 clone the state and re-solve with the dual simplex from the old basis,
-falling back to a from-scratch primal solve if that runs into trouble.  An
-LpSolution counts the pivots and refactors of the solve that produced it and
-flags that fallback.
+falling back to a from-scratch primal solve if that runs into trouble.  A
+warm re-solve confirms both its verdicts, optimal and infeasible, on a
+fresh factorization.  An LpSolution counts the pivots and refactors of the
+solve that produced it and flags that fallback.
 
 Tolerances (stated once, reused repo-wide): feasibility/optimality 1e-9
 (`FEAS_TOL`, `COST_TOL`; objective values that close count as tied),
@@ -203,6 +204,11 @@ class LpSolution:
     @property
     def optimal(self) -> bool:
         return self.status is LpStatus.OPTIMAL
+
+    @property
+    def num_rows(self) -> int:
+        """Rows of the LP that was solved."""
+        return self.state.m
 
 
 class _Engine:
@@ -443,13 +449,16 @@ class _Engine:
     def _dual_phase(self, max_iters: int) -> LpStatus | None:
         """Restore primal feasibility from a dual-feasible basis.
 
-        Returns INFEASIBLE when a violated row admits no entering column,
-        None when primal feasible (caller re-verifies optimality).
+        Returns INFEASIBLE when a violated row admits no entering column
+        on a fresh factorization (a B^-1 carried through eta updates is
+        refactored and the row chosen again first), None when primal
+        feasible (caller re-verifies optimality).
         """
         if self.m == 0:
             return None
         self._degen = 0
         movable = self.hi - self.lo > 0
+        fresh = False
         for _ in range(max_iters):
             below = self.lo[self.basis] - self.x_basic
             above = self.x_basic - self.hi[self.basis]
@@ -469,7 +478,12 @@ class _Engine:
             eligible = movable & ((at_lo & (s * alpha < -_PIV_EPS))
                                   | (at_up & (s * alpha > _PIV_EPS)))
             if not eligible.any():
-                return LpStatus.INFEASIBLE
+                if fresh:
+                    return LpStatus.INFEASIBLE
+                self._refactor()
+                self._recompute_x_basic()
+                fresh = True
+                continue
             mag_d = np.where(at_lo, np.maximum(d, 0.0), np.maximum(-d, 0.0))
             denom = np.where(eligible, np.abs(alpha), 1.0)
             theta = np.where(eligible, mag_d / denom, math.inf)
@@ -486,6 +500,7 @@ class _Engine:
             if abs(w[r]) < _PIV_EPS:
                 self._refactor()
                 self._recompute_x_basic()
+                fresh = True
                 continue
             enter_from = self.lo[q] if self.status[q] == _AT_LOWER else self.hi[q]
             self.x_basic -= delta * w
@@ -494,6 +509,7 @@ class _Engine:
             self.status[q] = _BASIC
             self.x_basic[r] = enter_from + delta
             self._eta_update(r, w)
+            fresh = False
         raise LpSolverError("dual iteration limit")
 
     # -- drivers ---------------------------------------------------------------

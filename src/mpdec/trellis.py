@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoders import DecodeResult, DecodeStats, DecodeStatus
+from .decoders import DecodeResult, DecodeStats, DecodeStatus, _solver_error
 from .simplex import (LpProblem, LpRow, LpSolverError, is_integral,
                       make_problem, solve)
 
@@ -329,20 +329,21 @@ def turbo_lp_decode(spec: TurboSpec, llr) -> DecodeResult:
     """LP decoding of the coupled flow relaxation; an integral flow is the
     ML codeword."""
     t0 = time.perf_counter()
-    stats = DecodeStats(lp_solves=1)
+    llr = np.asarray(llr, dtype=float)
+    stats = DecodeStats()
     try:
         lp, _ = build_turbo_lp(spec, llr)
-        sol = solve(lp)
+        sol = stats.tally(solve(lp))
     except LpSolverError:
-        stats.wall_time = time.perf_counter() - t0
-        return DecodeResult(DecodeStatus.SOLVER_ERROR, None, math.nan, stats)
-    stats.wall_time = time.perf_counter() - t0
+        return _solver_error(stats, t0)
     if not sol.optimal:
-        return DecodeResult(DecodeStatus.SOLVER_ERROR, None, math.nan, stats)
+        return _solver_error(stats, t0)
+    stats.wall_time = time.perf_counter() - t0
     x = sol.x[:3 * spec.k]
     if is_integral(sol.x):
-        return DecodeResult(DecodeStatus.ML_CERTIFIED,
-                            np.round(x).astype(np.uint8), sol.value, stats)
+        codeword = np.round(x).astype(np.uint8)
+        return DecodeResult(DecodeStatus.ML_CERTIFIED, codeword,
+                            float(llr @ codeword), stats)
     return DecodeResult(DecodeStatus.FRACTIONAL_FAILURE, x.copy(), sol.value, stats)
 
 

@@ -396,20 +396,42 @@ def test_solver_counters_are_deterministic(code84, hamming):
     assert tree.pivots > root.pivots and tree.refactors > root.refactors
 
 
-def test_branch_and_bound_tie_matches_oracle():
-    # full_lp_n32's code, BSC p=0.10, campaign seed 901, trial 21: branch &
-    # bound certifies a codeword whose cost ties the oracle's in the last
-    # bit; the oracle used to tie only on exact float equality
+def full_lp_n32_frame(seed, trial):
+    """full_lp_n32's code and one frame of its campaign (BSC p=0.10)."""
     from mpdec.channels import Bsc, llr, transmit, trial_rng
     from mpdec.gf2 import random_regular_ldpc
     code = random_regular_ldpc(32, 3, 4, 7)
     channel = Bsc(0.10)
-    lam = llr(transmit(np.zeros(32, dtype=np.uint8), channel,
-                       trial_rng(901, 0, 21)), channel)
+    return code, llr(transmit(np.zeros(32, dtype=np.uint8), channel,
+                              trial_rng(seed, 0, trial)), channel)
+
+
+def test_branch_and_bound_tie_matches_oracle():
+    # each frame has tied ML codewords whose costs differ in the last bit.
+    # Seed 901 trial 21: the oracle used to tie only on exact float equality.
+    # Seed 11 trial 203 and seed 3 trial 179: the root certified a tied
+    # codeword other than the oracle's, with no branching; a codeword node
+    # is now branched on.
+    for seed, trial in ((901, 21), (11, 203), (3, 179)):
+        code, lam = full_lp_n32_frame(seed, trial)
+        res = branch_and_bound_decode(code, lam)
+        cw, val = ml_bruteforce(code, lam)
+        assert res.status is DecodeStatus.ML_CERTIFIED and res.stats.branch_nodes > 0
+        assert np.array_equal(res.codeword(), cw) and res.value == val
+
+
+def test_branch_and_bound_root_is_adaptive_lp():
+    # the default root is the box LP separated until clean, as in adaptive
+    # LP; with the zero word certified there is nothing to branch on
+    code, lam = full_lp_n32_frame(3, 7)
     res = branch_and_bound_decode(code, lam)
-    cw, val = ml_bruteforce(code, lam)
-    assert res.status is DecodeStatus.ML_CERTIFIED and res.stats.branch_nodes > 0
-    assert np.array_equal(res.codeword(), cw) and res.value == val
+    ref = adaptive_lp_decode(code, lam)
+    assert res.status is ref.status is DecodeStatus.ML_CERTIFIED
+    assert not res.codeword().any() and res.stats.branch_nodes == 0
+    assert ((res.stats.pivots, res.stats.cuts_added, res.stats.iterations,
+             res.stats.lp_solves) == (ref.stats.pivots, ref.stats.cuts_added,
+                                      ref.stats.iterations, ref.stats.lp_solves))
+    assert res.stats.iterations > 0 and "fs" not in code.lp_cache
 
 
 def test_batch_separation_decodes_like_the_reference(monkeypatch):

@@ -12,6 +12,7 @@ ARGS = {
     "adaptive_lp_profile.py": ["--sizes", "30", "--trials", "5"],
     "fractional_distance_report.py": ["--codes", "spc:3,3"],
     "fer_comparison.py": ["--points", "0.05", "--errors", "2", "--max-frames", "20"],
+    "search_timing.py": ["--n", "12", "--frames", "2"],
 }
 
 

@@ -1,5 +1,6 @@
 """Simulation harness, CSV persistence, confidence intervals, CLI."""
 
+import math
 import os
 
 import numpy as np
@@ -190,6 +191,18 @@ def test_parse_sim_config_errors():
                                   f"decoder.max_depth = {bad}\n")
     with pytest.raises(ValueError, match="num_faces"):
         DecoderConfig(num_faces="5")
+    # each of these used to parse and then raise inside the campaign
+    for lines, key in (("decoder.guess_scale = 0.5\n", "guess_scale"),
+                       ("decoder.guess_scale = nan\n", "guess_scale"),
+                       ("decoder.depth = 2\ndecoder.subset_size = 3\n", "subset_size")):
+        with pytest.raises(ValueError, match=key):
+            parse_sim_config_text("code = spc:3,3\npoints = 0.1\n"
+                                  "decoders = bit_guessing,constant_depth\n" + lines)
+    for kwargs in ({"depth": 4.0}, {"max_nodes": True}, {"max_depth": 2.5},
+                   {"seed": 1.5}, {"seed": -1}, {"guess_scale": True},
+                   {"guess_scale": math.inf}):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            DecoderConfig(**kwargs)
 
 
 def test_parse_sim_config_names_the_bad_key():

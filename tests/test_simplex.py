@@ -237,6 +237,14 @@ def test_fix_variable_multi_bit_pin(code84):
         fix_variable_resolve(sol, (0, 0), (1.0, 0.0))
 
 
+def test_warm_infeasible_verdict_is_refactored():
+    # search decoders drop infeasible nodes, so the verdict must not rest on a
+    # B^-1 carried through eta updates: it is confirmed on a fresh factorization
+    sol = solve(make_problem(3, [-0.7, -1.3, 0.4], spc_fs_rows()))
+    bad = fix_variable_resolve(sol, (0, 1, 2), (1.0, 1.0, 1.0))
+    assert bad.status is LpStatus.INFEASIBLE and bad.refactors >= 1
+
+
 def test_determinism():
     rng = np.random.default_rng(55)
     n, c, rows, lo, hi = random_lp(rng)

@@ -229,6 +229,22 @@ def test_turbo_lp_certificates_match_exhaustive_ml():
             assert res.value == pytest.approx(vml, abs=1e-7)
 
 
+def test_turbo_lp_certified_value_is_exact_codeword_cost():
+    # the LP value of an integral flow can differ from llr @ codeword in the
+    # last bits; a certificate reports the codeword's exact cost
+    rng = np.random.default_rng(9)
+    certified = 0
+    for _ in range(60):
+        spec = make_spec(rng, 8, four_state_fsm())
+        lam = rng.standard_normal(24)
+        res = turbo_lp_decode(spec, lam)
+        if res.status is DecodeStatus.ML_CERTIFIED:
+            certified += 1
+            assert res.value == float(lam @ res.point)
+            assert res.stats.lp_solves == 1 and res.stats.pivots > 0
+    assert certified > 0
+
+
 def test_lagrangian_first_iteration_is_plain_viterbi():
     rng = np.random.default_rng(9)
     spec = make_spec(rng, 6)
