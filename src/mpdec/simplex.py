@@ -11,12 +11,17 @@ An LpProblem validates its rows and builds the engine's arrays once, when it
 is made; `LpProblem.with_objective` shares them with another objective, so a
 row block kept per code costs no per-row work per frame.
 
-The basis inverse is rebuilt from its structural kernel.  With S the k basic
-structural columns, T the k rows whose logicals are nonbasic and L the other
-rows, K = A[T, S] is k x k (k <= n) and
-B^-1 = [[K^-1, 0], [A[L, S] K^-1, -I]] up to the basis order.  The all-slack
-start has k = 0 and needs no inverse.  Between refactors B^-1 follows the
-pivots by eta updates.
+The basis inverse is never stored whole.  With S the k basic structural
+columns, T the k rows whose logicals are nonbasic and L the other rows,
+K = A[T, S] is k x k (k <= min(n, m)) and
+B^-1 = [[K^-1, 0], [A[L, S] K^-1, -I]] up to the basis order.  The L
+columns are -e at each row's logical position and stay implicit; only
+W = B^-1[:, T] is kept, transposed (k x m).  A refactor inverts K; the
+all-slack start has k = 0 and needs no inverse.  Between refactors W follows
+the pivots by eta updates, a column dropped when a logical enters the basis
+and one appended when a logical leaves it, so a pivot, FTRAN, pricing, a
+clone or `add_rows` costs O(m k), never O(m^2).  The dual simplex updates
+its reduced costs with each pivot and prices afresh after a refactor.
 
 Solver states are reusable: `add_rows_resolve` and `fix_variable_resolve`
 clone the state and re-solve with the dual simplex from the old basis,
@@ -217,6 +222,13 @@ class _Engine:
     Columns 0..n-1 are structural, column n + i is row i's logical; only A
     is stored.  `a`, `rhs` and `c` are never written in place, so clones
     share them until `add_rows` replaces them.
+
+    B^-1 is kept as its k tight-row columns (see the module doc).  `_order`
+    lists the rows tight first: `_order[:k]` are the rows of `_w`, whose row
+    t is B^-1[:, _order[t]], and of `_at`, whose row t is A[_order[t]];
+    `_order[k:]` are the rows whose logicals are basic, at basis positions
+    `_lpos[k:]`.  `_slot` is the inverse of `_order`.  Both buffers hold
+    min(n, m) rows, as k never exceeds that.
     """
 
     def __init__(self, problem: LpProblem | None):
@@ -234,9 +246,12 @@ class _Engine:
         self.basis = np.arange(n, n + m)
         self.status = np.full(n + m, _AT_LOWER, dtype=np.int8)
         self.status[self.basis] = _BASIC
-        self.b_inv = self.x_basic = None  # set when optimize_scratch starts
+        self.x_basic = None  # set when optimize_scratch starts
+        self._w = np.empty((min(n, m), m))
+        self._at = np.empty((min(n, m), n))
         self._since_refactor = 0
         self._degen = 0
+        self._d = None
         self.pivots = 0
         self.refactors = 0
 
@@ -246,19 +261,21 @@ class _Engine:
 
     def clone(self) -> "_Engine":
         e = _Engine(None)
-        e.nstruct = self.nstruct
-        e.a = self.a
-        e.rhs = self.rhs
-        e.c = self.c
+        e.__dict__.update(self.__dict__)
         e.lo = self.lo.copy()
         e.hi = self.hi.copy()
-        e.bad_bounds = self.bad_bounds
         e.basis = self.basis.copy()
         e.status = self.status.copy()
-        e.b_inv = self.b_inv.copy()
         e.x_basic = self.x_basic.copy()
+        k = self._k
+        e._w, e._at = np.empty_like(self._w), np.empty_like(self._at)
+        e._w[:k], e._at[:k] = self._w[:k], self._at[:k]
+        e._order = self._order.copy()
+        e._slot = self._slot.copy()
+        e._lpos = self._lpos.copy()
         e._since_refactor = 0
         e._degen = 0
+        e._d = None
         e.pivots = 0
         e.refactors = 0
         return e
@@ -266,64 +283,125 @@ class _Engine:
     # -- linear algebra upkeep ------------------------------------------------
 
     def _refactor(self):
-        """Rebuild B^-1 from the kernel K = A[T, S] (see the module doc)."""
+        """Rebuild the stored block from the kernel K = A[T, S] (see the
+        module doc), the rows of T in index order, and the basic values."""
         n, m = self.nstruct, self.m
         basis = self.basis
-        b_inv = np.zeros((m, m))
         logical = basis >= n
-        pos_l = np.flatnonzero(logical)
+        pos_l = logical.nonzero()[0]
+        pos_s = (~logical).nonzero()[0]
         rows_l = basis[pos_l] - n
-        b_inv[pos_l, rows_l] = -1.0
-        if len(pos_l) < m:
-            pos_s = np.flatnonzero(~logical)
-            tight = np.ones(m, dtype=bool)
-            tight[rows_l] = False
-            rows_t = np.flatnonzero(tight)
+        k = len(pos_s)
+        tight = np.ones(m, dtype=bool)
+        tight[rows_l] = False
+        rows_t = tight.nonzero()[0]
+        if k:
             a_s = self.a[:, basis[pos_s]]
             try:
                 k_inv = np.linalg.inv(a_s[rows_t])
             except np.linalg.LinAlgError as exc:
                 raise LpSolverError("singular basis") from exc
-            b_inv[pos_s[:, None], rows_t] = k_inv
-            b_inv[pos_l[:, None], rows_t] = a_s[rows_l] @ k_inv
-        self.b_inv = b_inv
+            cols = np.empty((m, k))
+            cols[pos_s] = k_inv
+            cols[pos_l] = a_s[rows_l] @ k_inv
+            self._w[:k] = cols.T
+            self._at[:k] = self.a[rows_t]
+        self._k = k
+        self._order = np.concatenate([rows_t, rows_l])
+        self._slot = np.argsort(self._order)
+        self._lpos = np.concatenate([pos_s, pos_l])  # only [k:] is read
         self._since_refactor = 0
+        self._d = None
         self.refactors += 1
+        xn = np.where(self.status == _AT_UPPER, self.hi, self.lo)
+        xn[basis] = 0.0
+        self.x_basic = self._ftran(xn[n:] - self.a @ xn[:n])
+
+    @property
+    def b_inv(self) -> np.ndarray:
+        """The dense B^-1, built on demand; for tests and debugging only."""
+        m, k = self.m, self._k
+        out = np.zeros((m, m))
+        out[:, self._order[:k]] = self._w[:k].T
+        out[self._lpos[k:], self._order[k:]] = -1.0
+        out.flags.writeable = False
+        return out
+
+    def _ftran(self, v: np.ndarray) -> np.ndarray:
+        """B^-1 v: the stored block on v's tight rows, minus v on the rows
+        whose logicals are basic, at those logicals' positions."""
+        k, order = self._k, self._order
+        out = v[order[:k]] @ self._w[:k]
+        out[self._lpos[k:]] -= v[order[k:]]
+        return out
 
     def _column(self, q: int) -> np.ndarray:
-        """B^-1 times column q of [A | -I]."""
-        if q < self.nstruct:
-            return self.b_inv @ self.a[:, q]
-        return -self.b_inv[:, q - self.nstruct]
-
-    def _recompute_x_basic(self):
-        xn = np.where(self.status == _AT_LOWER, self.lo,
-                      np.where(self.status == _AT_UPPER, self.hi, 0.0))
+        """B^-1 times column q of [A | -I], q nonbasic: a nonbasic logical's
+        row is tight, so its column is minus a stored one."""
         n = self.nstruct
-        self.x_basic = self.b_inv @ (xn[n:] - self.a @ xn[:n]) if self.m else np.zeros(0)
+        if q < n:
+            return self._ftran(self.a[:, q])
+        return -self._w[self._slot[q - n]]
 
-    def _eta_update(self, r: int, w: np.ndarray):
+    def _eta_update(self, r: int, w: np.ndarray, leaving: int):
+        """Follow the pivot at position r (entering column w = B^-1 a_q,
+        already in `basis[r]`) in the stored block.
+
+        Every stored column gets the eta update.  An entering logical's
+        column becomes -e_r, so it is dropped; a leaving logical's column,
+        -e_r before, becomes w / piv with -1 / piv at r and is appended.
+        """
+        n, k = self.nstruct, self._k
+        wt, at = self._w, self._at
+        order, slot, lpos = self._order, self._slot, self._lpos
         piv = w[r]
-        row = self.b_inv[r] / piv
-        w2 = w.copy()
-        w2[r] = 0.0
-        self.b_inv -= np.outer(w2, row)
-        self.b_inv[r] = row
+        if k:
+            row = wt[:k, r] / piv
+            wt[:k] -= row[:, None] * w
+            wt[:k, r] = row
+        entering = self.basis[r] - n
+        if entering >= 0:  # its row leaves the tight set, through slot k - 1
+            k -= 1
+            t, j = slot[entering], order[k]
+            wt[t], at[t] = wt[k], at[k]
+            order[t], slot[j] = j, t
+            order[k], slot[entering], lpos[k] = entering, k, r
+        leaving -= n
+        if leaving >= 0:  # its row joins the tight set at slot k
+            s, j = slot[leaving], order[k]
+            order[s], slot[j], lpos[s] = j, s, lpos[k]
+            order[k], slot[leaving] = leaving, k
+            inv = 1.0 / piv
+            np.multiply(w, inv, out=wt[k])
+            wt[k, r] = -inv
+            at[k] = self.a[leaving]
+            k += 1
+        self._k = k
         self.pivots += 1
         self._since_refactor += 1
         if self._since_refactor >= _REFACTOR_EVERY:
             self._refactor()
-            self._recompute_x_basic()
 
     def _reduced_costs(self, cost: np.ndarray | None = None) -> np.ndarray:
         """cost - y [A | -I] with y = cost_B B^-1; the true objective costs
-        nothing on logicals, so there the logical part is y itself."""
+        nothing on logicals, so there y is zero off the tight rows and the
+        logical part is y itself."""
         c = self.c if cost is None else cost
         if self.m == 0:
             return c.copy()
-        y = c[self.basis] @ self.b_inv
-        n = self.nstruct
-        return np.concatenate([c[:n] - y @ self.a, y if cost is None else c[n:] + y])
+        n, k, order = self.nstruct, self._k, self._order
+        cb = c[self.basis]
+        y_t = self._w[:k] @ cb
+        d = np.zeros(len(c))
+        d[n + order[:k]] = y_t
+        if cost is None:
+            d[:n] = c[:n] - y_t @ self._at[:k]
+            return d
+        d[n + order[k:]] = -cb[self._lpos[k:]]
+        y = d[n:]
+        d[:n] = c[:n] - y @ self.a
+        y += c[n:]
+        return d
 
     def _max_violation(self) -> float:
         if self.m == 0:
@@ -365,7 +443,7 @@ class _Engine:
             self.status[q] = _AT_UPPER if self.status[q] == _AT_LOWER else _AT_LOWER
             return True
         near = t_cand <= t_star + _TIE_EPS
-        cand = np.flatnonzero(near)
+        cand = near.nonzero()[0]
         if self._degen >= _BLAND_AFTER:
             r = int(cand[np.argmin(self.basis[cand])])
         else:
@@ -381,7 +459,7 @@ class _Engine:
         self.basis[r] = q
         self.status[q] = _BASIC
         self.x_basic[r] = enter_from + sigma * t_star
-        self._eta_update(r, w)
+        self._eta_update(r, w, p)
         return True
 
     # -- phase 1: minimize total bound violation of the basics ----------------
@@ -453,62 +531,86 @@ class _Engine:
         on a fresh factorization (a B^-1 carried through eta updates is
         refactored and the row chosen again first), None when primal
         feasible (caller re-verifies optimality).
+
+        The reduced costs `_d` are priced once, unless the caller left them
+        there, and then follow each pivot: d -= (d_q / alpha_q) alpha with
+        alpha the pivot row.  A refactor makes them stale, and they are
+        priced afresh.
         """
         if self.m == 0:
             return None
         self._degen = 0
+        n, m = self.nstruct, self.m
+        status, basis = self.status, self.basis
         movable = self.hi - self.lo > 0
+        # the movable nonbasics at each bound, and the basics' bounds, follow
+        # the pivots
+        lo_mov = movable & (status == _AT_LOWER)
+        up_mov = movable & (status == _AT_UPPER)
+        lo_b, hi_b = self.lo[basis], self.hi[basis]
         fresh = False
         for _ in range(max_iters):
-            below = self.lo[self.basis] - self.x_basic
-            above = self.x_basic - self.hi[self.basis]
+            below = lo_b - self.x_basic
+            above = self.x_basic - hi_b
             worst = np.maximum(below, above)
             r = int(np.argmax(worst))
             if worst[r] <= FEAS_TOL:
                 return None
-            p = int(self.basis[r])
+            p = int(basis[r])
             going_up = below[r] > above[r]
-            rho = self.b_inv[r]
-            alpha = np.concatenate([rho @ self.a, -rho])
-            d = self._reduced_costs()
-            d[self.basis] = 0.0
-            s = 1.0 if going_up else -1.0
-            at_lo = self.status == _AT_LOWER
-            at_up = self.status == _AT_UPPER
-            eligible = movable & ((at_lo & (s * alpha < -_PIV_EPS))
-                                  | (at_up & (s * alpha > _PIV_EPS)))
-            if not eligible.any():
+            if self._d is None:
+                self._d = self._reduced_costs()
+                self._d[basis] = 0.0
+            d = self._d
+            # row r of B^-1 is the stored block's column r, and -1 at p's row
+            # when p is a logical
+            k = self._k
+            rho_t = self._w[:k, r]
+            alpha = np.zeros(n + m)
+            alpha[:n] = rho_t @ self._at[:k]
+            alpha[n + self._order[:k]] = -rho_t
+            if p >= n:
+                alpha[:n] -= self.a[p - n]
+                alpha[p] = 1.0
+            sa = alpha if going_up else -alpha
+            eligible = (lo_mov & (sa < -_PIV_EPS)) | (up_mov & (sa > _PIV_EPS))
+            idx = eligible.nonzero()[0]
+            if not len(idx):
                 if fresh:
                     return LpStatus.INFEASIBLE
                 self._refactor()
-                self._recompute_x_basic()
                 fresh = True
                 continue
-            mag_d = np.where(at_lo, np.maximum(d, 0.0), np.maximum(-d, 0.0))
-            denom = np.where(eligible, np.abs(alpha), 1.0)
-            theta = np.where(eligible, mag_d / denom, math.inf)
+            # the dual ratio |d_j| / |alpha_j|: d_j >= 0 at a lower bound,
+            # where s alpha_j < 0, and d_j <= 0 at an upper one, where s alpha_j > 0
+            sa_e = sa[idx]
+            theta = np.maximum(-d[idx] / sa_e, 0.0)
             t_min = theta.min()
-            cand = np.flatnonzero(theta <= t_min + _TIE_EPS)
+            near = theta <= t_min + _TIE_EPS
             if self._degen >= _BLAND_AFTER:
-                q = int(cand[0])
+                q = int(idx[near.argmax()])
             else:
-                q = int(cand[np.argmax(np.abs(alpha[cand]))])
+                q = int(idx[near.nonzero()[0][np.argmax(np.abs(sa_e[near]))]])
             self._degen = self._degen + 1 if t_min <= _TIE_EPS else 0
             bound_r = self.lo[p] if going_up else self.hi[p]
             delta = (self.x_basic[r] - bound_r) / alpha[q]
             w = self._column(q)
             if abs(w[r]) < _PIV_EPS:
                 self._refactor()
-                self._recompute_x_basic()
                 fresh = True
                 continue
-            enter_from = self.lo[q] if self.status[q] == _AT_LOWER else self.hi[q]
+            enter_from = self.lo[q] if lo_mov[q] else self.hi[q]
             self.x_basic -= delta * w
-            self.status[p] = _AT_LOWER if going_up else _AT_UPPER
-            self.basis[r] = q
-            self.status[q] = _BASIC
+            status[p] = _AT_LOWER if going_up else _AT_UPPER
+            lo_mov[p], up_mov[p] = movable[p] and going_up, movable[p] and not going_up
+            basis[r] = q
+            status[q] = _BASIC
+            lo_mov[q] = up_mov[q] = False
+            lo_b[r], hi_b[r] = self.lo[q], self.hi[q]
             self.x_basic[r] = enter_from + delta
-            self._eta_update(r, w)
+            d -= (d[q] / alpha[q]) * alpha
+            d[q] = 0.0
+            self._eta_update(r, w, p)
             fresh = False
         raise LpSolverError("dual iteration limit")
 
@@ -520,7 +622,6 @@ class _Engine:
     def _confirmed_optimal(self) -> bool:
         """Refactor, then check primal feasibility and that nothing prices in."""
         self._refactor()
-        self._recompute_x_basic()
         if self._max_violation() > FEAS_TOL:
             return False
         d = self._reduced_costs()
@@ -536,7 +637,6 @@ class _Engine:
         self.status[self.c == 0] = _AT_LOWER
         self.status[self.basis] = _BASIC
         self._refactor()
-        self._recompute_x_basic()
         budget = self._iter_budget()
         for _ in range(8):
             if not self._phase1(budget):
@@ -557,6 +657,7 @@ class _Engine:
                | ((self.status == _AT_UPPER) & (d > _WARM_DUAL_TOL) & movable))
         if bad.any():
             raise LpSolverError("warm basis is not dual feasible")
+        self._d = d
         budget = self._iter_budget()
         for _ in range(8):
             if self._dual_phase(budget) is LpStatus.INFEASIBLE:
@@ -573,29 +674,39 @@ class _Engine:
     # -- state edits -----------------------------------------------------------
 
     def add_rows(self, rows: tuple[LpRow, ...]):
-        k = len(rows)
-        if k == 0:
+        kr = len(rows)
+        if kr == 0:
             return
         n, m_old = self.nstruct, self.m
         x_old = self.values()
         block, rhs, row_lo, row_hi, bad = _row_arrays(rows, self.lo[:n], self.hi[:n])
         self.a = np.concatenate([self.a, block])
         self.rhs = np.concatenate([self.rhs, rhs])
-        self.c = np.concatenate([self.c, np.zeros(k)])
+        self.c = np.concatenate([self.c, np.zeros(kr)])
         self.lo = np.concatenate([self.lo, row_lo])
         self.hi = np.concatenate([self.hi, row_hi])
         self.bad_bounds = self.bad_bounds or bad
         # B' = [[B, 0], [C, -I]] with C the new rows over the old basis, so
-        # B'^-1 = [[B^-1, 0], [C B^-1, -I]]; C is zero on basic logicals.
-        new_binv = np.zeros((m_old + k, m_old + k))
-        new_binv[:m_old, :m_old] = self.b_inv
-        structural = np.flatnonzero(self.basis < n)
-        if len(structural):
-            new_binv[m_old:, :m_old] = block[:, self.basis[structural]] @ self.b_inv[structural]
-        new_binv[m_old:, m_old:] = -np.eye(k)
-        self.b_inv = new_binv
-        self.basis = np.concatenate([self.basis, np.arange(n + m_old, n + m_old + k)])
-        self.status = np.concatenate([self.status, np.full(k, _BASIC, dtype=np.int8)])
+        # B'^-1 = [[B^-1, 0], [C B^-1, -I]]: each stored column gains its
+        # entries C W on the new rows (C is zero on basic logicals), and the
+        # new rows' logicals are basic at the new positions.
+        m, k = m_old + kr, self._k
+        w = np.empty((min(n, m), m))
+        w[:k, :m_old] = self._w[:k]
+        if k:
+            structural = (self.basis < n).nonzero()[0]
+            w[:k, m_old:] = (block[:, self.basis[structural]] @ self._w[:k, structural].T).T
+        self._w = w
+        if len(w) > len(self._at):
+            at = np.empty((len(w), n))
+            at[:k] = self._at[:k]
+            self._at = at
+        new = np.arange(m_old, m)
+        self._order = np.concatenate([self._order, new])
+        self._slot = np.concatenate([self._slot, new])
+        self._lpos = np.concatenate([self._lpos, new])
+        self.basis = np.concatenate([self.basis, n + new])
+        self.status = np.concatenate([self.status, np.full(kr, _BASIC, dtype=np.int8)])
         self.x_basic = np.concatenate([self.x_basic, block @ x_old[:n]])
 
     def set_bounds(self, j: int, lo: float, hi: float):
@@ -616,19 +727,9 @@ class _Engine:
     # -- extraction ------------------------------------------------------------
 
     def values(self) -> np.ndarray:
-        x = np.where(self.status == _AT_LOWER, self.lo,
-                     np.where(self.status == _AT_UPPER, self.hi, 0.0))
+        x = np.where(self.status == _AT_UPPER, self.hi, self.lo)
         x[self.basis] = self.x_basic
         return x
-
-    def structural_values(self) -> np.ndarray:
-        return self.values()[:self.nstruct]
-
-    def row_activities(self) -> np.ndarray:
-        return self.values()[self.nstruct:]
-
-    def objective_value(self) -> float:
-        return float(self.c @ self.values())
 
 
 def _finish(engine: _Engine, status: LpStatus, warm_fallback: bool = False) -> LpSolution:
@@ -636,10 +737,10 @@ def _finish(engine: _Engine, status: LpStatus, warm_fallback: bool = False) -> L
                   warm_fallback=warm_fallback)
     if status is LpStatus.INFEASIBLE:
         return LpSolution(LpStatus.INFEASIBLE, None, math.inf, (), engine, **counts)
-    acts = engine.row_activities()
-    active = tuple(int(i) for i in np.flatnonzero(np.abs(acts - engine.rhs) <= FEAS_TOL))
-    return LpSolution(LpStatus.OPTIMAL, engine.structural_values(),
-                      engine.objective_value(), active, engine, **counts)
+    x, n = engine.values(), engine.nstruct
+    active = (np.abs(x[n:] - engine.rhs) <= FEAS_TOL).nonzero()[0].tolist()
+    return LpSolution(LpStatus.OPTIMAL, x[:n], float(engine.c @ x), tuple(active),
+                      engine, **counts)
 
 
 def solve(problem: LpProblem) -> LpSolution:

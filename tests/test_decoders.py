@@ -411,13 +411,18 @@ def test_branch_and_bound_tie_matches_oracle():
     # Seed 901 trial 21: the oracle used to tie only on exact float equality.
     # Seed 11 trial 203 and seed 3 trial 179: the root certified a tied
     # codeword other than the oracle's, with no branching; a codeword node
-    # is now branched on.
-    for seed, trial in ((901, 21), (11, 203), (3, 179)):
+    # is now branched on.  Which tied vertex the root LP reaches turns on how
+    # the last bit breaks ties between equally violated rows: on seed 3
+    # trial 179 the root now reaches the oracle's all-zero word itself, and
+    # seed 8 trial 122 is a frame whose root reaches the other tied codeword.
+    for seed, trial in ((901, 21), (11, 203), (3, 179), (8, 122)):
         code, lam = full_lp_n32_frame(seed, trial)
         res = branch_and_bound_decode(code, lam)
         cw, val = ml_bruteforce(code, lam)
-        assert res.status is DecodeStatus.ML_CERTIFIED and res.stats.branch_nodes > 0
+        assert res.status is DecodeStatus.ML_CERTIFIED
         assert np.array_equal(res.codeword(), cw) and res.value == val
+        if (seed, trial) != (3, 179):
+            assert res.stats.branch_nodes > 0
 
 
 def test_branch_and_bound_root_is_adaptive_lp():
@@ -481,3 +486,32 @@ def test_batch_separation_decodes_like_the_reference(monkeypatch):
     monkeypatch.setattr(formulations, "_separate_words", reference_separate_words)
     assert got == cutting_planes()
     assert any(status is DecodeStatus.FRACTIONAL_FAILURE for status, *_ in got)
+
+
+def test_dual_reduced_costs_follow_the_pivots(monkeypatch):
+    # the dual simplex updates its reduced costs by d -= (d_q / alpha_q) alpha
+    # instead of pricing each pivot afresh; on the first 20 cuts_n120 frames
+    # (seed 3) they must match a fresh pricing on every nonbasic column after
+    # every dual pivot
+    from mpdec import simplex
+    from mpdec.channels import Biawgn, llr, transmit, trial_rng
+    from mpdec.gf2 import random_regular_ldpc
+    code = random_regular_ldpc(120, 3, 6, 620)
+    channel = Biawgn(0.75)
+    eta_update = simplex._Engine._eta_update
+    worst, checked = [0.0], [0]
+
+    def checked_eta_update(engine, *args):
+        eta_update(engine, *args)
+        if engine._d is not None:
+            nonbasic = engine.status != 0
+            gap = np.abs(engine._d - engine._reduced_costs())[nonbasic]
+            worst[0] = max(worst[0], float(gap.max()))
+            checked[0] += 1
+
+    monkeypatch.setattr(simplex._Engine, "_eta_update", checked_eta_update)
+    for t in range(20):
+        lam = llr(transmit(np.zeros(120, dtype=np.uint8), channel, trial_rng(3, 0, t)), channel)
+        adaptive_lp_decode(code, lam)
+        cutting_plane_decode(code, lam, ("adaptation",), max_rounds=15)
+    assert checked[0] > 1000 and worst[0] <= 1e-9

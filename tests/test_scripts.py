@@ -1,5 +1,6 @@
 """Smoke test: each experiment script runs to completion on tiny inputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 ARGS = {
     "adaptive_lp_profile.py": ["--sizes", "30", "--trials", "5"],
+    # relative to the working directory, which is tmp_path
+    "bench.py": ["--quick", "--out", "bench.json"],
     "fractional_distance_report.py": ["--codes", "spc:3,3"],
     "fer_comparison.py": ["--points", "0.05", "--errors", "2", "--max-frames", "20"],
     "search_timing.py": ["--n", "12", "--frames", "2"],
@@ -24,6 +27,14 @@ def test_script_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *ARGS[script]],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    if script == "bench.py":
+        record = json.loads((tmp_path / "bench.json").read_text())
+        env = record["environment"]
+        assert env["python"] and env["numpy"] and env["cpu_model"] and env["nproc"]
+        assert record["seeds"]["scratch"] == "trial_rng(520, 0, 0)"
+        scratch = record["runs"][0]
+        assert scratch["run"] == "scratch_n120" and scratch["final_lp_rows"] == 1920
+        assert scratch["ms_per_pivot"] > 0 and scratch["pivots_per_frame"] > 0
 
 
 def test_python_dash_m_mpdec(tmp_path):

@@ -341,6 +341,95 @@ def test_kernel_inverse_after_add_rows():
         assert np.allclose(engine.b_inv @ dense_basis(engine), eye, atol=1e-9)
 
 
+def random_pivot(engine, rng):
+    """Swap a random nonbasic column into the basis at a random position
+    where its column has a pivot of at least 1/2; returns the entering and
+    leaving variables, or None when no such position exists."""
+    q = int(rng.choice(np.flatnonzero(engine.status != 0)))
+    w = engine._column(q)
+    rows = np.flatnonzero(np.abs(w) >= 0.5)
+    if not len(rows):
+        return None
+    r = int(rng.choice(rows))
+    p = int(engine.basis[r])
+    engine.status[p] = 1
+    engine.basis[r] = q
+    engine.status[q] = 0
+    engine._eta_update(r, w, p)
+    return q, p
+
+
+def test_stored_block_follows_random_pivots():
+    # after every pivot, row addition, clone, bound change and refactor, the
+    # stored block equals the one a fresh factorization builds and its rows
+    # of A match its tight rows, and a clone's changes leave its parent's as
+    # they were
+    rng = np.random.default_rng(97)
+    n = 6
+    seen = dict(enter=0, leave=0)
+    for _ in range(16):
+        rows = [([(j, float(v)) for j, v in enumerate(rng.integers(-2, 3, size=n)) if v],
+                 "<=", 1.0) for _ in range(5)]
+        engine = _Engine(make_problem(n, rng.standard_normal(n), rows,
+                                      [-1.0] * n, [1.0] * n))
+        engine._refactor()
+        parent, frozen = None, None
+        for step in range(60):
+            kind = rng.choice(["pivot"] * 6 + ["add_rows", "clone", "set_bounds", "refactor"])
+            if kind == "pivot":
+                moved = random_pivot(engine, rng)
+                if moved is not None:
+                    seen["enter"] += moved[0] >= n
+                    seen["leave"] += moved[1] >= n
+            elif kind == "add_rows" and engine.m < 12:
+                engine.add_rows(tuple(LpRow(tuple((j, float(v)) for j, v in enumerate(
+                    rng.integers(-2, 3, size=n)) if v) or ((0, 1.0),), "<=", 1.0)
+                    for _ in range(int(rng.integers(1, 3)))))
+            elif kind == "clone":
+                parent, frozen = engine, engine.b_inv
+                engine = engine.clone()
+            elif kind == "set_bounds":
+                j = int(rng.integers(n))
+                if engine.status[j] != 0:
+                    engine.set_bounds(j, -0.5, 0.5)
+            elif kind == "refactor":
+                engine._refactor()
+            fresh = engine.clone()
+            fresh._refactor()
+            assert engine._k == fresh._k <= min(n, engine.m)
+            assert np.allclose(engine.b_inv, fresh.b_inv, rtol=0, atol=1e-9), (step, kind)
+            assert np.allclose(engine.b_inv @ dense_basis(engine), np.eye(engine.m), atol=1e-9)
+            for e in (engine, parent) if parent is not None else (engine,):
+                k = e._k
+                assert np.array_equal(e._at[:k], e.a[e._order[:k]])
+            if parent is not None:
+                assert np.array_equal(parent.b_inv, frozen)
+    assert seen["enter"] > 20 and seen["leave"] > 20
+
+
+def test_engine_stores_no_m_by_m_array():
+    # the 192-row forbidden-set LP of random:32,3,4,7 keeps at most n = 32
+    # columns of its basis inverse, through the scratch solve and the warm
+    # re-solves of branch & bound; no engine array holds m x m entries
+    from mpdec.formulations import build_formulation
+    from mpdec.gf2 import random_regular_ldpc
+    code = random_regular_ldpc(32, 3, 4, 7)
+    lam = np.random.default_rng(5).normal(0.5, 1.0, size=32)
+    form = build_formulation(code, "fs", lam)
+    m = len(form.lp.rows)
+    assert m == 192
+    engines = []
+    sol = solve(form.lp)
+    engines.append(sol.state)
+    for j in range(4):
+        engines.append(fix_variable_resolve(sol, j, 1.0).state)
+    engines.append(add_rows_resolve(sol, [([(0, 1.0), (1, 1.0)], "<=", 1.0)]).state)
+    for engine in engines:
+        assert engine._w.shape[0] == 32 and engine._k <= 32
+        assert max(v.size for v in vars(engine).values()
+                   if isinstance(v, np.ndarray)) < m * m
+
+
 def test_singular_kernel_raises():
     # columns 0 and 1 are equal, so no basis may hold both with both rows tight
     engine = _Engine(make_problem(3, [1.0, 1.0, 1.0],
