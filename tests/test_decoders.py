@@ -504,7 +504,7 @@ def test_dual_reduced_costs_follow_the_pivots(monkeypatch):
     def checked_eta_update(engine, *args):
         eta_update(engine, *args)
         if engine._d is not None:
-            nonbasic = engine.status != 0
+            nonbasic = engine.status != simplex._BASIC
             gap = np.abs(engine._d - engine._reduced_costs())[nonbasic]
             worst[0] = max(worst[0], float(gap.max()))
             checked[0] += 1

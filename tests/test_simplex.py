@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mpdec.simplex import (LpRow, LpSolverError, LpStatus, _Engine,
+from mpdec.simplex import (_AT_LOWER, _BASIC, LpRow, LpSolverError, LpStatus, _Engine,
                            add_rows_resolve, dump_lp, fix_variable_resolve,
                            is_integral, make_problem, solve)
 
@@ -345,16 +345,16 @@ def random_pivot(engine, rng):
     """Swap a random nonbasic column into the basis at a random position
     where its column has a pivot of at least 1/2; returns the entering and
     leaving variables, or None when no such position exists."""
-    q = int(rng.choice(np.flatnonzero(engine.status != 0)))
+    q = int(rng.choice(np.flatnonzero(engine.status != _BASIC)))
     w = engine._column(q)
     rows = np.flatnonzero(np.abs(w) >= 0.5)
     if not len(rows):
         return None
     r = int(rng.choice(rows))
     p = int(engine.basis[r])
-    engine.status[p] = 1
+    engine.status[p] = _AT_LOWER
     engine.basis[r] = q
-    engine.status[q] = 0
+    engine.status[q] = _BASIC
     engine._eta_update(r, w, p)
     return q, p
 
@@ -390,7 +390,7 @@ def test_stored_block_follows_random_pivots():
                 engine = engine.clone()
             elif kind == "set_bounds":
                 j = int(rng.integers(n))
-                if engine.status[j] != 0:
+                if engine.status[j] != _BASIC:
                     engine.set_bounds(j, -0.5, 0.5)
             elif kind == "refactor":
                 engine._refactor()
