@@ -4,8 +4,8 @@
 Writes one JSON record (default `BENCH_scaling.json` at the repo root) with
 the machine, the Python and numpy versions, the `trial_rng` seeds and, per
 run, ms/frame (the median frame), pivots/frame and ms/pivot (the whole
-decode time over the pivots), each the median of `--repeats` timed repeats.
-The runs are:
+decode time over the pivots), each the median of three timed repeats (one
+with `--quick`). The runs are:
 
 - `scratch_n120`: one from-scratch solve of the full forbidden-set LP
   (`lp`) of `random_regular_ldpc(120, 3, 6, seed=620)` at BIAWGN sigma=1.0
@@ -87,10 +87,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--quick", action="store_true", help="small sizes, one repeat")
-    ap.add_argument("--repeats", type=int, default=None, help="timed repeats (default 3, 1 quick)")
     ap.add_argument("--out", default=str(ROOT / "BENCH_scaling.json"))
     args = ap.parse_args()
-    repeats = args.repeats or (1 if args.quick else 3)
+    repeats = 1 if args.quick else 3
     sizes = QUICK_FRAMES if args.quick else FULL_FRAMES
 
     runs = []
