@@ -11,9 +11,11 @@ with `--quick`). The runs are:
   (`lp`) of `random_regular_ldpc(120, 3, 6, seed=620)` at BIAWGN sigma=1.0
   on the frame `trial_rng(520, 0, 0)`, as cross-checked by acceptance
   criterion 4 (m = 1920 rows);
-- `adaptive_lp`, `cutting_plane` and `min_sum` on (3,6)-regular codes
+- `lp` (the full forbidden-set LP, solved from scratch), `adaptive_lp`,
+  `cutting_plane` and `min_sum` on (3,6)-regular codes
   `random_regular_ldpc(n, 3, 6, seed=1)`, n = 60/120/240/1000, and on
   `spc:3,3,3`, at BIAWGN sigma=0.8 on the frames `trial_rng(3, 0, t)`.
+  `lp` skips n = 1000, whose full LP has 16 000 dense rows.
 
 `--quick` keeps the scratch solve, drops n = 240 and 1000, decodes fewer
 frames and times one repeat; it runs in well under a minute.  As in
@@ -48,7 +50,8 @@ from mpdec.gf2 import random_regular_ldpc, spc_product_code  # noqa: E402
 SCRATCH = dict(code=(120, 3, 6, 620), sigma=1.0, seed=520)
 FRAME_SEED = 3
 SIGMA = 0.8
-DECODERS = ("adaptive_lp", "cutting_plane", "min_sum")
+DECODERS = ("lp", "adaptive_lp", "cutting_plane", "min_sum")
+LP_MAX_N = 240
 FULL_FRAMES = {60: 20, 120: 20, 240: 10, 1000: 5, "spc:3,3,3": 20}
 QUICK_FRAMES = {60: 5, 120: 5, "spc:3,3,3": 5}
 
@@ -107,6 +110,8 @@ def main():
             label = f"random_regular_ldpc({size}, 3, 6, 1)"
         lams = frames_for(code, SIGMA, FRAME_SEED, count)
         for name in DECODERS:
+            if name == "lp" and code.n > LP_MAX_N:
+                continue
             runs.append(dict(run=f"{name}@{size}", code=label, sigma=SIGMA,
                              **run(name, code, lams, repeats)))
             r = runs[-1]

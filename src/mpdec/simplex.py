@@ -23,12 +23,20 @@ and one appended when a logical leaves it, so a pivot, FTRAN, pricing, a
 clone or `add_rows` costs O(m k), never O(m^2).  The dual simplex updates
 its reduced costs with each pivot and prices afresh after a refactor.
 
+There is one algorithm, the bounded dual simplex.  A scratch solve starts
+from the slack basis with each structural at the bound its cost favours:
+there y = 0 and the reduced costs are the costs, so that basis is dual
+feasible, and on a decoding LP it is the hard decision.  Only violated rows
+are pivoted on.  A basis that ends primal feasible while something still
+prices in is repaired by moving those nonbasics to their other bound and
+running the dual simplex again.
+
 Solver states are reusable: `add_rows_resolve` and `fix_variable_resolve`
 clone the state and re-solve with the dual simplex from the old basis,
-falling back to a from-scratch primal solve if that runs into trouble.  A
-warm re-solve confirms both its verdicts, optimal and infeasible, on a
-fresh factorization.  An LpSolution counts the pivots and refactors of the
-solve that produced it and flags that fallback.
+falling back to a scratch solve when that basis is not dual feasible or
+runs into trouble.  Every verdict, optimal and infeasible, is confirmed on
+a fresh factorization.  An LpSolution counts the pivots and refactors of
+the solve that produced it and flags that fallback.
 
 Tolerances (stated once, reused repo-wide): feasibility/optimality 1e-9
 (`FEAS_TOL`, `COST_TOL`; objective values that close count as tied),
@@ -250,7 +258,6 @@ class _Engine:
         self._w = np.empty((min(n, m), m))
         self._at = np.empty((min(n, m), n))
         self._since_refactor = 0
-        self._degen = 0
         self._d = None
         self.pivots = 0
         self.refactors = 0
@@ -274,7 +281,6 @@ class _Engine:
         e._slot = self._slot.copy()
         e._lpos = self._lpos.copy()
         e._since_refactor = 0
-        e._degen = 0
         e._d = None
         e.pivots = 0
         e.refactors = 0
@@ -382,25 +388,17 @@ class _Engine:
         if self._since_refactor >= _REFACTOR_EVERY:
             self._refactor()
 
-    def _reduced_costs(self, cost: np.ndarray | None = None) -> np.ndarray:
-        """cost - y [A | -I] with y = cost_B B^-1; the true objective costs
-        nothing on logicals, so there y is zero off the tight rows and the
-        logical part is y itself."""
-        c = self.c if cost is None else cost
+    def _reduced_costs(self) -> np.ndarray:
+        """c - y [A | -I] with y = c_B B^-1; logicals cost nothing, so y is
+        zero off the tight rows and the logical part is y itself."""
+        c = self.c
         if self.m == 0:
             return c.copy()
         n, k, order = self.nstruct, self._k, self._order
-        cb = c[self.basis]
-        y_t = self._w[:k] @ cb
+        y_t = self._w[:k] @ c[self.basis]
         d = np.zeros(len(c))
         d[n + order[:k]] = y_t
-        if cost is None:
-            d[:n] = c[:n] - y_t @ self._at[:k]
-            return d
-        d[n + order[k:]] = -cb[self._lpos[k:]]
-        y = d[n:]
-        d[:n] = c[:n] - y @ self.a
-        y += c[n:]
+        d[:n] = c[:n] - y_t @ self._at[:k]
         return d
 
     def _max_violation(self) -> float:
@@ -410,119 +408,7 @@ class _Engine:
         above = self.x_basic - self.hi[self.basis]
         return float(max(below.max(initial=0.0), above.max(initial=0.0)))
 
-    # -- pivot selection ------------------------------------------------------
-
-    def _pick_entering(self, d: np.ndarray) -> int:
-        movable = self.hi - self.lo > 0
-        down = (self.status == _AT_LOWER) & (d < -COST_TOL) & movable
-        up = (self.status == _AT_UPPER) & (d > COST_TOL) & movable
-        eligible = down | up
-        if not eligible.any():
-            return -1
-        if self._degen >= _BLAND_AFTER:
-            return int(np.flatnonzero(eligible)[0])
-        score = np.where(eligible, np.abs(d), -1.0)
-        return int(np.argmax(score))
-
-    def _ratio_and_pivot(self, q: int, rate: np.ndarray, t_cand: np.ndarray) -> bool:
-        """Shared primal step: pick the blocking bound, flip or pivot.
-
-        Returns False when the step is unbounded in every candidate (cannot
-        happen with finite bounds; treated as numerical failure).
-        """
-        sigma = 1.0 if self.status[q] == _AT_LOWER else -1.0
-        t_flip = self.hi[q] - self.lo[q]
-        t_min = t_cand.min() if len(t_cand) else math.inf
-        t_star = min(t_min, t_flip)
-        if not math.isfinite(t_star):
-            return False
-        t_star = max(t_star, 0.0)
-        self._degen = self._degen + 1 if t_star <= _TIE_EPS else 0
-        if t_flip <= t_min:
-            self.x_basic += rate * t_flip
-            self.status[q] = _AT_UPPER if self.status[q] == _AT_LOWER else _AT_LOWER
-            return True
-        near = t_cand <= t_star + _TIE_EPS
-        cand = near.nonzero()[0]
-        if self._degen >= _BLAND_AFTER:
-            r = int(cand[np.argmin(self.basis[cand])])
-        else:
-            r = int(cand[np.argmax(np.abs(rate[cand]))])
-        p = int(self.basis[r])
-        w = -rate * sigma
-        leave_val = self.x_basic[r] + rate[r] * t_star
-        self.status[p] = (_AT_LOWER
-                          if abs(leave_val - self.lo[p]) <= abs(leave_val - self.hi[p])
-                          else _AT_UPPER)
-        self.x_basic += rate * t_star
-        enter_from = self.lo[q] if sigma > 0 else self.hi[q]
-        self.basis[r] = q
-        self.status[q] = _BASIC
-        self.x_basic[r] = enter_from + sigma * t_star
-        self._eta_update(r, w, p)
-        return True
-
-    # -- phase 1: minimize total bound violation of the basics ----------------
-
-    def _phase1(self, max_iters: int) -> bool:
-        self._degen = 0
-        for _ in range(max_iters):
-            below = self.lo[self.basis] - self.x_basic
-            above = self.x_basic - self.hi[self.basis]
-            if max(below.max(initial=0.0), above.max(initial=0.0)) <= FEAS_TOL:
-                return True
-            c1 = np.zeros(len(self.c))
-            c1[self.basis[below > FEAS_TOL]] = -1.0
-            c1[self.basis[above > FEAS_TOL]] = 1.0
-            d = self._reduced_costs(c1)
-            d[self.basis] = 0.0
-            q = self._pick_entering(d)
-            if q < 0:
-                return False
-            sigma = 1.0 if self.status[q] == _AT_LOWER else -1.0
-            rate = -sigma * self._column(q)
-            lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
-            is_below = self.x_basic < lo_b - FEAS_TOL
-            is_above = self.x_basic > hi_b + FEAS_TOL
-            feas = ~is_below & ~is_above
-            t = np.full(self.m, math.inf)
-            up = rate > _PIV_EPS
-            dn = rate < -_PIV_EPS
-            sel = up & (is_below | feas)
-            t[sel] = (np.where(is_below[sel], lo_b[sel], hi_b[sel])
-                      - self.x_basic[sel]) / rate[sel]
-            sel = dn & (is_above | feas)
-            t[sel] = (np.where(is_above[sel], hi_b[sel], lo_b[sel])
-                      - self.x_basic[sel]) / rate[sel]
-            np.maximum(t, 0.0, out=t)
-            if not self._ratio_and_pivot(q, rate, t):
-                raise LpSolverError("phase-1 step unbounded")
-        raise LpSolverError("phase-1 iteration limit")
-
-    # -- phase 2: primal simplex on the true objective ------------------------
-
-    def _phase2(self, max_iters: int):
-        self._degen = 0
-        for _ in range(max_iters):
-            d = self._reduced_costs()
-            d[self.basis] = 0.0
-            q = self._pick_entering(d)
-            if q < 0:
-                return
-            sigma = 1.0 if self.status[q] == _AT_LOWER else -1.0
-            rate = -sigma * self._column(q)
-            lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
-            t = np.full(self.m, math.inf)
-            up = rate > _PIV_EPS
-            dn = rate < -_PIV_EPS
-            t[up] = (hi_b[up] - self.x_basic[up]) / rate[up]
-            t[dn] = (lo_b[dn] - self.x_basic[dn]) / rate[dn]
-            np.maximum(t, 0.0, out=t)
-            if not self._ratio_and_pivot(q, rate, t):
-                raise LpSolverError("phase-2 step unbounded")
-        raise LpSolverError("phase-2 iteration limit")
-
-    # -- dual simplex for warm restarts ---------------------------------------
+    # -- the dual simplex ------------------------------------------------------
 
     def _dual_phase(self, max_iters: int) -> LpStatus | None:
         """Restore primal feasibility from a dual-feasible basis.
@@ -619,57 +505,58 @@ class _Engine:
     def _iter_budget(self) -> int:
         return 5000 + 60 * (self.m + len(self.c))
 
-    def _confirmed_optimal(self) -> bool:
-        """Refactor, then check primal feasibility and that nothing prices in."""
-        self._refactor()
-        if self._max_violation() > FEAS_TOL:
-            return False
-        d = self._reduced_costs()
-        d[self.basis] = 0.0
-        return self._pick_entering(d) < 0
-
-    def optimize_scratch(self) -> LpStatus:
-        if self.bad_bounds:
-            return LpStatus.INFEASIBLE
-        n_all = len(self.c)
-        self.basis = np.arange(self.nstruct, n_all)
-        self.status = np.where(self.c > 0, _AT_LOWER, _AT_UPPER).astype(np.int8)
-        self.status[self.c == 0] = _AT_LOWER
-        self.status[self.basis] = _BASIC
-        self._refactor()
-        budget = self._iter_budget()
-        for _ in range(8):
-            if not self._phase1(budget):
-                return LpStatus.INFEASIBLE
-            self._phase2(budget)
-            if self._confirmed_optimal():
-                return LpStatus.OPTIMAL
-        raise LpSolverError("could not confirm optimality")
-
-    def optimize_warm(self) -> LpStatus:
-        """Dual re-solve from the current (dual feasible) basis."""
-        if self.bad_bounds:
-            return LpStatus.INFEASIBLE
-        d = self._reduced_costs()
-        d[self.basis] = 0.0
+    def _prices_in(self, d: np.ndarray, tol: float) -> np.ndarray:
+        """Mask of the movable nonbasics whose reduced cost d_j would lower
+        the objective by more than tol per unit moved off their bound."""
         movable = self.hi - self.lo > 0
-        bad = (((self.status == _AT_LOWER) & (d < -_WARM_DUAL_TOL) & movable)
-               | ((self.status == _AT_UPPER) & (d > _WARM_DUAL_TOL) & movable))
-        if bad.any():
-            raise LpSolverError("warm basis is not dual feasible")
-        self._d = d
+        return movable & (((self.status == _AT_LOWER) & (d < -tol))
+                          | ((self.status == _AT_UPPER) & (d > tol)))
+
+    def _optimize(self) -> LpStatus:
+        """Dual simplex from a dual feasible basis, each verdict confirmed on
+        a fresh factorization.
+
+        A basis that ends primal feasible while some reduced cost still
+        prices in (a warm start inside `_WARM_DUAL_TOL`, or drift) is
+        repaired by moving each such nonbasic to its other bound, which
+        makes it dual feasible, and restoring primal feasibility again.
+        """
         budget = self._iter_budget()
         for _ in range(8):
             if self._dual_phase(budget) is LpStatus.INFEASIBLE:
                 return LpStatus.INFEASIBLE
-            if self._confirmed_optimal():
+            self._refactor()
+            if self._max_violation() > FEAS_TOL:
+                continue
+            flip = self._prices_in(self._reduced_costs(), COST_TOL)
+            if not flip.any():
                 return LpStatus.OPTIMAL
-            # primal feasible but not yet optimal: finish with primal pivots
-            if self._max_violation() <= FEAS_TOL:
-                self._phase2(budget)
-                if self._confirmed_optimal():
-                    return LpStatus.OPTIMAL
-        raise LpSolverError("could not confirm optimality after warm restart")
+            self.status[flip] = np.where(self.status[flip] == _AT_LOWER, _AT_UPPER, _AT_LOWER)
+            self._refactor()
+        raise LpSolverError("could not confirm optimality")
+
+    def optimize_scratch(self) -> LpStatus:
+        """Solve from the slack basis with each structural at the bound its
+        cost favours: there y = 0 and d = c, so it is dual feasible."""
+        if self.bad_bounds:
+            return LpStatus.INFEASIBLE
+        self.basis = np.arange(self.nstruct, len(self.c))
+        self.status = np.where(self.c < 0, _AT_UPPER, _AT_LOWER).astype(np.int8)
+        self.status[self.basis] = _BASIC
+        self._refactor()
+        return self._optimize()
+
+    def optimize_warm(self) -> LpStatus:
+        """Re-solve from the current basis, which must be dual feasible to
+        `_WARM_DUAL_TOL`; raises LpSolverError when it is not."""
+        if self.bad_bounds:
+            return LpStatus.INFEASIBLE
+        d = self._reduced_costs()
+        if self._prices_in(d, _WARM_DUAL_TOL).any():
+            raise LpSolverError("warm basis is not dual feasible")
+        d[self.basis] = 0.0
+        self._d = d
+        return self._optimize()
 
     # -- state edits -----------------------------------------------------------
 
@@ -712,6 +599,8 @@ class _Engine:
     def set_bounds(self, j: int, lo: float, hi: float):
         if not 0 <= j < self.nstruct:
             raise ValueError("variable index out of range")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("bounds must be finite")
         if lo > hi:
             raise ValueError("lower bound exceeds upper bound")
         if self.status[j] == _BASIC:

@@ -35,6 +35,7 @@ def test_script_runs(script, tmp_path):
         scratch = record["runs"][0]
         assert scratch["run"] == "scratch_n120" and scratch["final_lp_rows"] == 1920
         assert scratch["ms_per_pivot"] > 0 and scratch["pivots_per_frame"] > 0
+        assert {"lp@60", "lp@120", "lp@spc:3,3,3"} <= {run["run"] for run in record["runs"]}
 
 
 def test_python_dash_m_mpdec(tmp_path):

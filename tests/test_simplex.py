@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from mpdec.simplex import (_AT_LOWER, _BASIC, LpRow, LpSolverError, LpStatus, _Engine,
-                           add_rows_resolve, dump_lp, fix_variable_resolve,
+from mpdec.simplex import (_AT_LOWER, _BASIC, _WARM_DUAL_TOL, COST_TOL, LpRow, LpSolverError,
+                           LpStatus, _Engine, add_rows_resolve, dump_lp, fix_variable_resolve,
                            is_integral, make_problem, solve)
 
 
@@ -102,16 +102,20 @@ def test_spc_polytope_optimum():
 
 
 def test_oracle_battery():
+    # each LP also runs under a +-1 (BSC-style) objective, whose integer
+    # data ties the dual ratio test exactly
     rng = np.random.default_rng(17)
+    signs = np.random.default_rng(18)
     for _ in range(120):
         n, c, rows, lo, hi = random_lp(rng)
-        sol = solve(make_problem(n, c, rows, lo, hi))
-        expect = brute_force_lp(n, c, rows, lo, hi)
-        if expect is None:
-            assert sol.status is LpStatus.INFEASIBLE
-        else:
-            assert sol.optimal
-            assert sol.value == pytest.approx(expect, abs=1e-7)
+        for cost in (c, signs.choice([-1.0, 1.0], size=n)):
+            sol = solve(make_problem(n, cost, rows, lo, hi))
+            expect = brute_force_lp(n, cost, rows, lo, hi)
+            if expect is None:
+                assert sol.status is LpStatus.INFEASIBLE
+            else:
+                assert sol.optimal
+                assert sol.value == pytest.approx(expect, abs=1e-7)
 
 
 def test_oracle_battery_wide():
@@ -235,6 +239,71 @@ def test_fix_variable_multi_bit_pin(code84):
         fix_variable_resolve(sol, (0, 1), (1.0,))
     with pytest.raises(ValueError):
         fix_variable_resolve(sol, (0, 0), (1.0, 0.0))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_fix_variable_rejects_non_finite_value(value):
+    sol = solve(make_problem(3, [-0.7, -1.3, 0.4], spc_fs_rows()))
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        fix_variable_resolve(sol, 0, value)
+
+
+def test_warm_start_inside_tolerance_is_repaired():
+    # plant a nonbasic reduced cost on the wrong side by 5e-8: inside the warm
+    # check's 1e-7, so there is no fallback, but it prices in at COST_TOL, so
+    # the re-solve must move that column to its other bound and go on
+    extra = [([(0, 1.0), (1, 1.0), (2, 1.0)], ">=", 0.0)]  # implied by the box
+    for c in ([-0.7, -1.3, 0.4], [0.9, -0.2, -0.5], [-1.0, 1.0, -1.0]):
+        sol = solve(make_problem(3, c, spc_fs_rows()))
+        state = sol.state
+        d = state._reduced_costs()
+        j = int(np.flatnonzero(state.status != _BASIC)[0])
+        side = 1.0 if state.status[j] == _AT_LOWER else -1.0
+        state.c = state.c.copy()
+        state.c[j] -= d[j] + side * 5e-8
+        d = state._reduced_costs()
+        assert state._prices_in(d, COST_TOL)[j] and not state._prices_in(d, _WARM_DUAL_TOL).any()
+        again = add_rows_resolve(sol, extra)
+        assert again.optimal and not again.warm_fallback
+        assert not again.state._prices_in(again.state._reduced_costs(), COST_TOL).any()
+        fresh = solve(make_problem(3, state.c[:3], spc_fs_rows() + extra))
+        assert again.value == pytest.approx(fresh.value, abs=1e-12)
+
+
+def scratch_start_reduced_costs(problem, monkeypatch):
+    """The reduced costs of the basis `optimize_scratch` hands to the dual
+    simplex, with that engine."""
+    seen = []
+    monkeypatch.setattr(_Engine, "_optimize",
+                        lambda engine: seen.append(engine._reduced_costs()) or LpStatus.OPTIMAL)
+    engine = _Engine(problem)
+    engine.optimize_scratch()
+    monkeypatch.undo()
+    return seen[0], engine
+
+
+def test_scratch_start_is_dual_feasible(code84, monkeypatch):
+    # the slack basis with every structural at the bound its cost favours is
+    # dual feasible by the check a warm start must pass; on a code's LP it
+    # is the hard decision
+    from mpdec.formulations import FORMULATIONS, build_formulation
+    rng = np.random.default_rng(71)
+    problems = []
+    for _ in range(5):
+        for llr in (rng.standard_normal(8), rng.choice([-1.0, 1.0], size=8)):
+            problems += [(build_formulation(code84, kind, llr).lp, llr)
+                         for kind in FORMULATIONS]
+    for _ in range(40):
+        n, c, rows, lo, hi = random_lp(rng)
+        for cost in (c, rng.choice([-1.0, 1.0], size=n)):
+            problems.append((make_problem(n, cost, rows, lo, hi), None))
+    for problem, llr in problems:
+        if problem.block.bad_bounds:
+            continue
+        d, engine = scratch_start_reduced_costs(problem, monkeypatch)
+        assert not engine._prices_in(d, _WARM_DUAL_TOL).any()
+        if llr is not None:
+            assert np.array_equal(engine.values()[:8], (llr < 0).astype(float))
 
 
 def test_warm_infeasible_verdict_is_refactored():
@@ -479,7 +548,8 @@ def test_with_objective_shares_rows_only():
 
 
 def test_solution_counters():
-    # the all-ones start breaks the odd-subset row, so phase 1 must pivot
+    # the all-ones start (the hard decision) breaks the three-bit odd-subset
+    # row, so the dual simplex must pivot
     sol = solve(make_problem(3, [-1.0, -1.1, -1.2], spc_fs_rows()))
     assert sol.pivots > 0 and sol.refactors > 0 and not sol.warm_fallback
     again = solve(make_problem(3, [-1.0, -1.1, -1.2], spc_fs_rows()))
