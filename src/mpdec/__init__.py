@@ -9,7 +9,7 @@ from .decoders import (DecodeResult, DecodeStats, DecodeStatus, DecoderConfig,
                        fractional_distance, lp_decode, make_decoder,
                        min_sum_decode, neighborhood_search, sum_product_decode,
                        variable_depth_decode)
-from .formulations import (FORMULATIONS, FsInequality, Formulation,
+from .formulations import (FORMULATIONS, FsCuts, FsInequality, Formulation,
                            build_formulation, decompose_checks,
                            fs_inequalities, has_lonely_fractional_neighbor,
                            matrix_adaptation_cut_search, most_violated_fs_cut,
@@ -21,7 +21,7 @@ from .gf2 import (BinaryMatrix, LinearCode, TannerGraph, enumerate_codewords,
                   spc_product_code, syndrome)
 from .sim import (SimConfig, SimRecord, fer_confidence, simulate,
                   simulate_to_csv)
-from .simplex import (FEAS_TOL, INTEGRALITY_TOL, LpProblem, LpRow, LpSolution,
+from .simplex import (FEAS_TOL, INTEGRALITY_TOL, LeRows, LpProblem, LpRow, LpSolution,
                       LpSolverError, LpStatus, add_rows_resolve, dump_lp,
                       fix_variable_resolve, is_integral, make_problem, solve)
 from .trellis import (FsmSpec, Trellis, TurboSpec, accumulator_fsm,

@@ -186,7 +186,7 @@ def cmd_cuts(args) -> int:
         print(f"status={result.status.value} (no cut search: optimum not fractional)")
         return 0
     x = result.point
-    cuts = matrix_adaptation_cut_search(code.H, x)
+    cuts = list(matrix_adaptation_cut_search(code.H, x))
     cuts += [c for c in rpc_cycle_cut_search(code.H, x, rng_seed=args.seed)
              if c not in cuts]
     print(f"status=fractional_failure value={result.value:.9g} cuts={len(cuts)}")

@@ -21,7 +21,7 @@ import numpy as np
 from .channels import hard_decision
 # most_violated_fs_cut is unused here but stays importable by this name,
 # where perfbench traces it.
-from .formulations import (FORMULATIONS, Formulation, FsInequality,
+from .formulations import (FORMULATIONS, Formulation, FsCuts, FsInequality,
                            build_formulation, matrix_adaptation_cut_search,
                            most_violated_fs_cut, row_fs_cuts,
                            rpc_cycle_cut_search)
@@ -143,7 +143,11 @@ def _separate_until_clean(sol: LpSolution, stats: DecodeStats, code: LinearCode,
     every check, or at a clean non-codeword the cuts of the first of the
     `searchers` (H, x, seed + iterations) -> cuts that yields any, and warm
     re-solve (one iteration).  Returns the last solution: once nothing is
-    added, after `max_rounds` re-solves, or when one is not optimal."""
+    added, after `max_rounds` re-solves, or when one is not optimal.
+
+    Cuts from the separation arrays (`FsCuts`, which `row_fs_cuts` and the
+    built-in searchers return) reach `add_rows_resolve` as one dense `<=`
+    block; other cut lists as their `as_lp_row`s."""
     start = stats.iterations
     while sol.optimal and stats.iterations - start < max_rounds:
         x = sol.x[:code.n]
@@ -155,7 +159,9 @@ def _separate_until_clean(sol: LpSolution, stats: DecodeStats, code: LinearCode,
                     break
         if not cuts:
             break
-        sol = stats.tally(add_rows_resolve(sol, [c.as_lp_row() for c in cuts]))
+        rows = (cuts.lp_rows(len(sol.x)) if isinstance(cuts, FsCuts)
+                else [c.as_lp_row() for c in cuts])
+        sol = stats.tally(add_rows_resolve(sol, rows))
         stats.cuts_added += len(cuts)
         stats.iterations += 1
     return sol

@@ -10,14 +10,15 @@ checks (GF(2) row combinations).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import combinations, compress
+from itertools import combinations, compress, repeat
 
 import numpy as np
 
 from .gf2 import (BinaryMatrix, LinearCode, _gauss_jordan, padded_supports,
                   set_bits)
-from .simplex import LpProblem, LpRow, make_problem
+from .simplex import LeRows, LpProblem, LpRow, make_problem
 
 MAX_CHECK_DEGREE = 25
 FRAC_TOL = 1e-6
@@ -60,6 +61,52 @@ class FsInequality:
         signs = [1.0 if j in s else -1.0 for j in self.support]
         x = np.asarray(x, dtype=float)
         return float(np.dot(signs, x[list(self.support)])) - self.rhs
+
+
+class FsCuts(Sequence):
+    """The cuts of one separation pass, in row order, as the arrays it found
+    them in: row r of `cols` holds a support where `mask` is True, and `odd`
+    its odd subset.
+
+    Items are FsInequality, made when first read.  `lp_rows` gives the same
+    cuts as one dense `<=` block for `add_rows_resolve`, with no FsInequality
+    or LpRow made.  It compares equal to a list of the same cuts.
+    """
+
+    def __init__(self, cols, mask, odd, checks=None):
+        self._cols, self._mask, self._odd, self._checks = cols, mask, odd, checks
+        self._items = None
+
+    def __len__(self) -> int:
+        return len(self._cols)
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __eq__(self, other):
+        if isinstance(other, (FsCuts, list)):
+            return self._list() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"FsCuts({self._list()!r})"
+
+    def _list(self) -> list[FsInequality]:
+        if self._items is None:
+            self._items = [
+                FsInequality(tuple(compress(row, real)), tuple(compress(row, chosen)), check)
+                for row, real, chosen, check in zip(
+                    self._cols.tolist(), self._mask.tolist(), self._odd.tolist(),
+                    repeat(None) if self._checks is None else self._checks)]
+        return self._items
+
+    def lp_rows(self, num_vars: int) -> LeRows:
+        """The cuts as rows sum_S x - sum_{N\\S} x <= |S| - 1 over num_vars
+        LP columns: the coefficients, rhs and order of their `as_lp_row`s."""
+        r, t = self._mask.nonzero()
+        a = np.zeros((len(self), num_vars))
+        a[r, self._cols[r, t]] = np.where(self._odd[r, t], 1.0, -1.0)
+        return LeRows(a, self._odd.sum(axis=1) - 1.0)
 
 
 def _subsets(support, parity: int) -> list[tuple[int, ...]]:
@@ -340,8 +387,7 @@ def build_formulation(code: LinearCode, kind: str, objective) -> Formulation:
 # -- separation ----------------------------------------------------------------
 
 
-def separate_fs_cuts(cols, mask, x, tol: float = CUT_TOL,
-                     checks=None) -> list[FsInequality]:
+def separate_fs_cuts(cols, mask, x, tol: float = CUT_TOL, checks=None) -> FsCuts:
     """The most violated forbidden-set inequality of every support at once.
 
     Row r of `cols` holds one support, ascending, where `mask` is True (the
@@ -359,10 +405,8 @@ def separate_fs_cuts(cols, mask, x, tol: float = CUT_TOL,
     odd[even, toggle[even]] ^= True
     lhs = np.where(mask, np.where(odd, vals, -vals), 0.0).cumsum(axis=1)[:, -1]
     hit = ((lhs - (odd.sum(axis=1) - 1) > tol) & mask.any(axis=1)).nonzero()[0]
-    return [FsInequality(tuple(compress(row, real)), tuple(compress(row, chosen)),
-                         None if checks is None else int(checks[r]))
-            for r, row, real, chosen in zip(hit.tolist(), cols[hit].tolist(),
-                                            mask[hit].tolist(), odd[hit].tolist())]
+    return FsCuts(cols[hit], mask[hit], odd[hit],
+                  None if checks is None else [int(checks[r]) for r in hit.tolist()])
 
 
 def most_violated_fs_cut(support, x, tol: float = CUT_TOL) -> FsInequality | None:
@@ -375,13 +419,13 @@ def most_violated_fs_cut(support, x, tol: float = CUT_TOL) -> FsInequality | Non
     return cuts[0] if cuts else None
 
 
-def row_fs_cuts(h: BinaryMatrix, x, tol: float = CUT_TOL) -> list[FsInequality]:
+def row_fs_cuts(h: BinaryMatrix, x, tol: float = CUT_TOL) -> FsCuts:
     """Per-row separation: the most violated FS inequality of every check,
     in check order, each recording its check."""
     return separate_fs_cuts(h.layout.cols, h.layout.mask, x, tol, range(h.m))
 
 
-def _separate_words(h: BinaryMatrix, words, x) -> list[FsInequality]:
+def _separate_words(h: BinaryMatrix, words, x) -> FsCuts:
     """Separate the distinct nonzero dual codewords among `words` (int
     bitsets) as one batch, in first-seen order."""
     words = list(dict.fromkeys(w for w in words if w))
@@ -407,7 +451,7 @@ def _fractional_indices(x, tol: float = FRAC_TOL) -> list[int]:
 
 
 def rpc_cycle_cut_search(h: BinaryMatrix, x, rng_seed: int = 0,
-                         max_tries: int | None = None) -> list[FsInequality]:
+                         max_tries: int | None = None) -> Sequence[FsInequality]:
     """Random-walk cycle search for violated redundant-parity-check cuts.
 
     The Tanner graph is pruned to the fractional variables and their
@@ -467,7 +511,7 @@ def rpc_cycle_cut_search(h: BinaryMatrix, x, rng_seed: int = 0,
     return _separate_words(h, found, x)
 
 
-def matrix_adaptation_cut_search(h: BinaryMatrix, x) -> list[FsInequality]:
+def matrix_adaptation_cut_search(h: BinaryMatrix, x) -> Sequence[FsInequality]:
     """Pivot unit vectors into the fractional columns, then separate rows.
 
     Columns are processed most-fractional-first (ascending |x_j - 1/2|);

@@ -16,8 +16,8 @@ columns, T the k rows whose logicals are nonbasic and L the other rows,
 K = A[T, S] is k x k (k <= min(n, m)) and
 B^-1 = [[K^-1, 0], [A[L, S] K^-1, -I]] up to the basis order.  The L
 columns are -e at each row's logical position and stay implicit; only
-W = B^-1[:, T] is kept, transposed (k x m).  A refactor inverts K; the
-all-slack start has k = 0 and needs no inverse.  Between refactors W follows
+W = B^-1[:, T] is kept, transposed (k x m).  A refactor inverts K (a
+crashed start's K is diagonal).  Between refactors W follows
 the pivots by eta updates, a column dropped when a logical enters the basis
 and one appended when a logical leaves it, so a pivot, FTRAN, pricing, a
 clone or `add_rows` costs O(m k), never O(m^2).  The dual simplex updates
@@ -26,17 +26,25 @@ its reduced costs with each pivot and prices afresh after a refactor.
 There is one algorithm, the bounded dual simplex.  A scratch solve starts
 from the slack basis with each structural at the bound its cost favours:
 there y = 0 and the reduced costs are the costs, so that basis is dual
-feasible, and on a decoding LP it is the hard decision.  Only violated rows
-are pivoted on.  A basis that ends primal feasible while something still
-prices in is repaired by moving those nonbasics to their other bound and
-running the dual simplex again.
+feasible, and on a decoding LP it is the hard decision.  Before the first
+pivot it is crashed: each zero-cost column singleton (a structural of cost
+0 with one nonzero in A, such as the parity relaxation's z_i) whose row is
+violated replaces that row's logical, which leaves at the bound its row
+violated.  K stays diagonal and the basic costs 0, so the start stays dual
+feasible; which columns are singletons is computed once per row block.
+Only violated rows are then pivoted on.  A basis that ends primal feasible
+while something still prices in is repaired by moving those nonbasics to
+their other bound and running the dual simplex again.
 
 Solver states are reusable: `add_rows_resolve` and `fix_variable_resolve`
 clone the state and re-solve with the dual simplex from the old basis,
 falling back to a scratch solve when that basis is not dual feasible or
-runs into trouble.  Every verdict, optimal and infeasible, is confirmed on
-a fresh factorization.  An LpSolution counts the pivots and refactors of
-the solve that produced it and flags that fallback.
+runs into trouble.  Rows come in as LpRows, parsed to dense arrays, or as
+one dense `LeRows` block, which is taken as it is; both get their logical
+bounds from the same tightening.  A pin may only narrow a variable's
+bounds.  Every verdict, optimal and infeasible, is confirmed on a fresh
+factorization.  An LpSolution counts the pivots and refactors of the solve
+that produced it and flags that fallback.
 
 Tolerances (stated once, reused repo-wide): feasibility/optimality 1e-9
 (`FEAS_TOL`, `COST_TOL`; objective values that close count as tied),
@@ -92,6 +100,19 @@ class LpRow:
             raise ValueError("duplicate column index in row")
 
 
+@dataclass(frozen=True, eq=False)
+class LeRows:
+    """Rows a x <= rhs as one dense block: a is (k, n), rhs is (k,), both
+    float.  `add_rows_resolve` takes it as it is, with no per-row parsing;
+    len() is the number of rows."""
+
+    a: np.ndarray
+    rhs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+
 class RowBlock(NamedTuple):
     """The engine's arrays for a problem's rows over its box; all read-only."""
 
@@ -102,19 +123,17 @@ class RowBlock(NamedTuple):
     lower: np.ndarray    # (n,) the box
     upper: np.ndarray
     bad_bounds: bool     # some row cannot be met inside the box
+    singles: np.ndarray  # (n,) the row of each column with one nonzero, else -1
 
 
-def _row_arrays(rows: tuple[LpRow, ...], lo: np.ndarray, hi: np.ndarray):
-    """Dense coefficients, rhs and logical bounds of rows over [lo, hi].
+def _parse_rows(rows: tuple[LpRow, ...], n: int):
+    """Dense coefficients, rhs and sense bounds of LpRows over n columns.
 
-    Returns (a, rhs, row_lo, row_hi, bad_bounds); raises ValueError for a
-    column index outside the box.
+    Returns (a, rhs, sense_lo, sense_hi); raises ValueError for a column
+    index out of range.
     """
-    m, n = len(rows), len(lo)
+    m = len(rows)
     a = np.zeros((m, n))
-    if not m:
-        empty = np.zeros(0)
-        return a, empty, empty, empty, False
     jj = np.fromiter((j for row in rows for j, _ in row.coeffs), np.intp)
     if len(jj):
         out = jj[(jj < 0) | (jj >= n)]
@@ -125,14 +144,44 @@ def _row_arrays(rows: tuple[LpRow, ...], lo: np.ndarray, hi: np.ndarray):
     rhs = np.fromiter((row.rhs for row in rows), float, m)
     le = np.fromiter((row.sense == "<=" for row in rows), bool, m)
     ge = np.fromiter((row.sense == ">=" for row in rows), bool, m)
+    return a, rhs, np.where(le, -math.inf, rhs), np.where(ge, math.inf, rhs)
+
+
+def _row_bounds(a: np.ndarray, sense_lo, sense_hi, lo: np.ndarray, hi: np.ndarray):
+    """Logical bounds of the rows sense_lo <= a x <= sense_hi over the box
+    [lo, hi]: the sense bounds tightened to each row's activity range.
+
+    Returns (row_lo, row_hi, bad_bounds), bad_bounds when some row cannot be
+    met inside the box.
+    """
     at_lo, at_hi = a * lo, a * hi
-    row_lo = np.maximum(np.where(le, -math.inf, rhs),
-                        np.minimum(at_lo, at_hi).sum(axis=1))
-    row_hi = np.minimum(np.where(ge, math.inf, rhs),
-                        np.maximum(at_lo, at_hi).sum(axis=1))
+    row_lo = np.maximum(sense_lo, np.minimum(at_lo, at_hi).sum(axis=1))
+    row_hi = np.minimum(sense_hi, np.maximum(at_lo, at_hi).sum(axis=1))
     bad = bool((row_lo > row_hi + FEAS_TOL).any())
     np.minimum(row_lo, row_hi, out=row_lo)
-    return a, rhs, row_lo, row_hi, bad
+    return row_lo, row_hi, bad
+
+
+def _row_arrays(rows: tuple[LpRow, ...], lo: np.ndarray, hi: np.ndarray):
+    """Dense coefficients, rhs and logical bounds of LpRows over [lo, hi].
+
+    Returns (a, rhs, row_lo, row_hi, bad_bounds); raises ValueError for a
+    column index outside the box.
+    """
+    if not rows:  # the box LP, made once per frame: skip the parse
+        empty = np.zeros(0)
+        return np.zeros((0, len(lo))), empty, empty, empty, False
+    a, rhs, sense_lo, sense_hi = _parse_rows(rows, len(lo))
+    return (a, rhs) + _row_bounds(a, sense_lo, sense_hi, lo, hi)
+
+
+def _singleton_rows(a: np.ndarray) -> np.ndarray:
+    """Per column of a, the row of its one nonzero when it has exactly one,
+    else -1."""
+    if not len(a):
+        return np.full(a.shape[1], -1)
+    nz = a != 0
+    return np.where(nz.sum(axis=0) == 1, nz.argmax(axis=0), -1)
 
 
 @dataclass(frozen=True)
@@ -161,9 +210,11 @@ class LpProblem:
         if (lo > hi).any():
             raise ValueError("lower bound exceeds upper bound")
         a, rhs, row_lo, row_hi, bad = _row_arrays(self.rows, lo, hi)
-        for arr in (a, rhs, row_lo, row_hi, lo, hi):
+        singles = _singleton_rows(a)
+        for arr in (a, rhs, row_lo, row_hi, lo, hi, singles):
             arr.flags.writeable = False
-        object.__setattr__(self, "block", RowBlock(a, rhs, row_lo, row_hi, lo, hi, bad))
+        object.__setattr__(self, "block",
+                           RowBlock(a, rhs, row_lo, row_hi, lo, hi, bad, singles))
 
     def with_objective(self, objective) -> "LpProblem":
         """The same rows and box under another objective, sharing `block`:
@@ -251,6 +302,7 @@ class _Engine:
         self.lo = np.concatenate([block.lower, block.row_lo])
         self.hi = np.concatenate([block.upper, block.row_hi])
         self.bad_bounds = block.bad_bounds
+        self.singles = block.singles  # None once rows are added; see _crash
         self.basis = np.arange(n, n + m)
         self.status = np.full(n + m, _AT_LOWER, dtype=np.int8)
         self.status[self.basis] = _BASIC
@@ -537,14 +589,47 @@ class _Engine:
 
     def optimize_scratch(self) -> LpStatus:
         """Solve from the slack basis with each structural at the bound its
-        cost favours: there y = 0 and d = c, so it is dual feasible."""
+        cost favours, crashed (`_crash`): there y = 0 and d = c, so it is
+        dual feasible."""
         if self.bad_bounds:
             return LpStatus.INFEASIBLE
         self.basis = np.arange(self.nstruct, len(self.c))
         self.status = np.where(self.c < 0, _AT_UPPER, _AT_LOWER).astype(np.int8)
         self.status[self.basis] = _BASIC
+        self._crash()
         self._refactor()
         return self._optimize()
+
+    def _crash(self):
+        """Swap zero-cost column singletons into the slack basis.
+
+        Each non-fixed structural of zero cost with one nonzero in A whose
+        row is violated takes the basis position of that row's logical (the
+        first such column by index, where a row has several), and the
+        logical leaves at the bound its row violated.  K stays diagonal, so
+        nonsingular, and the basic costs stay 0, so y = 0 and d = c: the
+        start is still dual feasible.  The dual simplex would make the same
+        swaps, one zero-ratio pivot per row.
+        """
+        n = self.nstruct
+        cand = self.c[:n] == 0
+        if not cand.any():
+            return
+        if self.singles is None:
+            self.singles = _singleton_rows(self.a)
+        cand &= (self.singles >= 0) & (self.hi[:n] > self.lo[:n])
+        cols = cand.nonzero()[0]
+        rows = self.singles[cols]
+        x = np.where(self.status[:n] == _AT_UPPER, self.hi[:n], self.lo[:n])
+        act = self.a[rows] @ x
+        below = self.lo[n + rows] - act > FEAS_TOL
+        above = act - self.hi[n + rows] > FEAS_TOL
+        violated = (below | above).nonzero()[0]
+        rows, first = np.unique(rows[violated], return_index=True)
+        pick = violated[first]
+        self.basis[rows] = cols[pick]
+        self.status[cols[pick]] = _BASIC
+        self.status[n + rows] = np.where(below[pick], _AT_LOWER, _AT_UPPER)
 
     def optimize_warm(self) -> LpStatus:
         """Re-solve from the current basis, which must be dual feasible to
@@ -560,19 +645,22 @@ class _Engine:
 
     # -- state edits -----------------------------------------------------------
 
-    def add_rows(self, rows: tuple[LpRow, ...]):
-        kr = len(rows)
+    def add_rows(self, block: np.ndarray, rhs: np.ndarray, sense_lo, sense_hi):
+        """Append the rows sense_lo <= block x <= sense_hi (block is k x n,
+        the sense bounds broadcast against rhs), their logicals basic."""
+        kr = len(block)
         if kr == 0:
             return
         n, m_old = self.nstruct, self.m
         x_old = self.values()
-        block, rhs, row_lo, row_hi, bad = _row_arrays(rows, self.lo[:n], self.hi[:n])
+        row_lo, row_hi, bad = _row_bounds(block, sense_lo, sense_hi, self.lo[:n], self.hi[:n])
         self.a = np.concatenate([self.a, block])
         self.rhs = np.concatenate([self.rhs, rhs])
         self.c = np.concatenate([self.c, np.zeros(kr)])
         self.lo = np.concatenate([self.lo, row_lo])
         self.hi = np.concatenate([self.hi, row_hi])
         self.bad_bounds = self.bad_bounds or bad
+        self.singles = None
         # B' = [[B, 0], [C, -I]] with C the new rows over the old basis, so
         # B'^-1 = [[B^-1, 0], [C B^-1, -I]]: each stored column gains its
         # entries C W on the new rows (C is zero on basic logicals), and the
@@ -597,12 +685,18 @@ class _Engine:
         self.x_basic = np.concatenate([self.x_basic, block @ x_old[:n]])
 
     def set_bounds(self, j: int, lo: float, hi: float):
+        """Narrow variable j's bounds to [lo, hi].  They may only narrow: the
+        logicals' bounds were tightened over the current box, and stay valid
+        inside it but not outside."""
         if not 0 <= j < self.nstruct:
             raise ValueError("variable index out of range")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("bounds must be finite")
         if lo > hi:
             raise ValueError("lower bound exceeds upper bound")
+        if lo < self.lo[j] or hi > self.hi[j]:
+            raise ValueError(f"bounds [{lo:g}, {hi:g}] are not inside variable {j}'s "
+                             f"current [{self.lo[j]:g}, {self.hi[j]:g}]")
         if self.status[j] == _BASIC:
             self.lo[j], self.hi[j] = lo, hi
             return
@@ -646,11 +740,22 @@ def _resolve(engine: _Engine) -> LpSolution:
 
 
 def add_rows_resolve(solution: LpSolution, rows) -> LpSolution:
-    """Re-optimize with extra rows appended; prior solution must be Optimal."""
+    """Re-optimize with extra rows appended; prior solution must be Optimal.
+
+    `rows` is an LeRows block, or LpRows or plain (coeffs, sense, rhs)
+    tuples, which are parsed to the same arrays.
+    """
     if not solution.optimal:
         raise ValueError("can only add rows to an optimal state")
+    n = solution.state.nstruct
+    if isinstance(rows, LeRows):
+        if rows.a.shape != (len(rows.rhs), n):
+            raise ValueError(f"expected a ({len(rows.rhs)}, {n}) block, got {rows.a.shape}")
+        arrays = rows.a, rows.rhs, -math.inf, rows.rhs
+    else:
+        arrays = _parse_rows(_as_rows(rows), n)
     engine = solution.state.clone()
-    engine.add_rows(_as_rows(rows))
+    engine.add_rows(*arrays)
     return _resolve(engine)
 
 

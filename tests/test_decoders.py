@@ -525,3 +525,64 @@ def test_dual_reduced_costs_follow_the_pivots(monkeypatch):
         adaptive_lp_decode(code, lam)
         cutting_plane_decode(code, lam, ("adaptation",), max_rounds=15)
     assert checked[0] > 1000 and worst[0] <= 1e-9
+
+
+def test_separation_block_matches_lp_rows(code84, monkeypatch):
+    # the separation loop hands add_rows_resolve its cuts as one dense <=
+    # block built from the separation arrays; it must be, bit for bit, what
+    # parsing the cuts' LpRows gave: coefficients, rhs and logical bounds
+    import mpdec.decoders as decoders
+    from mpdec.channels import Biawgn, llr, transmit, trial_rng
+    from mpdec.formulations import row_fs_cuts
+    from mpdec.gf2 import random_regular_ldpc
+    from mpdec.simplex import LeRows, _row_arrays, _row_bounds
+
+    def same_bits(got, want):
+        return got.dtype == want.dtype and got.shape == want.shape and \
+            got.tobytes() == want.tobytes()
+
+    def check(block, cuts, lo, hi):
+        a, rhs, row_lo, row_hi, bad = _row_arrays(
+            tuple(c.as_lp_row() for c in cuts), lo, hi)
+        got_lo, got_hi, got_bad = _row_bounds(block.a, -math.inf, block.rhs, lo, hi)
+        assert len(block) == len(cuts)
+        assert same_bits(block.a, a) and same_bits(block.rhs, rhs)
+        assert same_bits(got_lo, row_lo) and same_bits(got_hi, row_hi) and got_bad == bad
+
+    code120 = random_regular_ldpc(120, 3, 6, 620)
+    rng = np.random.default_rng(29)
+    checked = 0
+    for code in (code84, code120):
+        n = code.n
+        for width in (n, n + code.m):  # the box LP and the parity relaxation
+            for x in [rng.random(n), rng.integers(0, 2, n) / 1.0,
+                      rng.integers(0, 3, n) / 2.0] * 5:
+                cuts = row_fs_cuts(code.H, x)
+                lo, hi = np.zeros(width), np.ones(width)
+                check(cuts.lp_rows(width), cuts, lo, hi)
+                checked += len(cuts) > 0
+
+    # and what the loop really passes, over the bounds of the state it grows:
+    # the cuts of the last separation call that found any
+    add_rows_resolve, last, passed = decoders.add_rows_resolve, [], []
+    for name in ("row_fs_cuts", "matrix_adaptation_cut_search"):
+        separate = getattr(decoders, name)
+        monkeypatch.setattr(decoders, name, lambda *args, f=separate, name=name: (
+            last.append((name, f(*args))) or last[-1][1]))
+
+    def recorded(sol, rows):
+        assert isinstance(rows, LeRows)
+        name, cuts = [(name, c) for name, c in last if c][-1]
+        n = sol.state.nstruct
+        check(rows, cuts, sol.state.lo[:n], sol.state.hi[:n])
+        passed.append(name)
+        return add_rows_resolve(sol, rows)
+
+    monkeypatch.setattr(decoders, "add_rows_resolve", recorded)
+    channel = Biawgn(0.75)
+    for t in (0, 1, 2, 3, 10, 16):  # seed-3 trials 10 and 16 reach the RPC search
+        lam = llr(transmit(np.zeros(120, dtype=np.uint8), channel, trial_rng(3, 0, t)), channel)
+        cutting_plane_decode(code120, lam, max_rounds=15)
+        adaptive_lp_decode(code120, lam)
+    assert checked > 50 and len(passed) > 20
+    assert "matrix_adaptation_cut_search" in passed

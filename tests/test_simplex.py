@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from mpdec.simplex import (_AT_LOWER, _BASIC, _WARM_DUAL_TOL, COST_TOL, LpRow, LpSolverError,
-                           LpStatus, _Engine, add_rows_resolve, dump_lp, fix_variable_resolve,
-                           is_integral, make_problem, solve)
+                           LpStatus, _Engine, _parse_rows, add_rows_resolve, dump_lp,
+                           fix_variable_resolve, is_integral, make_problem, solve)
 
 
 def brute_force_lp(num_vars, c, rows, lo, hi):
@@ -74,6 +74,21 @@ def random_lp(rng, n_max=5, m_max=4):
     return n, c, rows, [0.0] * n, [1.0] * n
 
 
+def random_lp_with_singletons(rng):
+    """A small random_lp with one or two zero-cost columns appended, each
+    with its one nonzero in a random row (a row may get both)."""
+    n, c, rows, lo, hi = random_lp(rng, n_max=4, m_max=3)
+    if not rows:
+        rows = [([(0, 1.0)], ("<=", ">=")[int(rng.integers(0, 2))], 0.0)]
+    rows = [(list(coeffs), sense, rhs) for coeffs, sense, rhs in rows]
+    for _ in range(int(rng.integers(1, 3))):
+        i = int(rng.integers(len(rows)))
+        rows[i][0].append((n, float(rng.choice([-2.0, -1.0, 1.0, 2.0]))))
+        lo, hi = lo + [float(rng.choice([-1.0, 0.0]))], hi + [float(rng.choice([0.5, 1.0]))]
+        c, n = np.append(c, 0.0), n + 1
+    return n, c, rows, lo, hi
+
+
 def test_min_single_variable():
     sol = solve(make_problem(1, [1.0], []))
     assert sol.optimal and sol.value == 0.0 and sol.x[0] == 0.0
@@ -101,21 +116,49 @@ def test_spc_polytope_optimum():
     assert np.allclose(sol.x, [1, 1, 0], atol=1e-9)
 
 
-def test_oracle_battery():
+def test_oracle_battery(monkeypatch):
     # each LP also runs under a +-1 (BSC-style) objective, whose integer
-    # data ties the dual ratio test exactly
+    # data ties the dual ratio test exactly.  The LPs with zero-cost column
+    # singletons have them crashed into the scratch basis, in rows of every
+    # sense, some starting outside their bounds, so the dual simplex still
+    # has to move them
+    optimize = _Engine._optimize
+    seen = dict(crashed=0, outside=0, senses=set())
+
+    def crashed_start(engine):
+        structural = engine.basis < engine.nstruct
+        basic, x = engine.basis[structural], engine.x_basic[structural]
+        seen["crashed"] += len(basic)
+        seen["outside"] += int(((x < engine.lo[basic] - 1e-9)
+                                | (x > engine.hi[basic] + 1e-9)).sum())
+        return optimize(engine)
+
+    monkeypatch.setattr(_Engine, "_optimize", crashed_start)
     rng = np.random.default_rng(17)
     signs = np.random.default_rng(18)
+    crash_rng = np.random.default_rng(19)
+    cases = []
     for _ in range(120):
-        n, c, rows, lo, hi = random_lp(rng)
-        for cost in (c, signs.choice([-1.0, 1.0], size=n)):
+        lp = random_lp(rng)
+        cases.append((lp, signs.choice([-1.0, 1.0], size=lp[0])))
+    for _ in range(80):
+        lp = random_lp_with_singletons(crash_rng)
+        # the appended columns keep their zero cost under the +-1 objective
+        cases.append((lp, np.where(lp[1] == 0, 0.0, crash_rng.choice([-1.0, 1.0], size=lp[0]))))
+    for (n, c, rows, lo, hi), plus_minus in cases:
+        for cost in (c, plus_minus):
+            before = seen["crashed"]
             sol = solve(make_problem(n, cost, rows, lo, hi))
+            if seen["crashed"] > before:
+                seen["senses"].update(sense for _, sense, _ in rows)
             expect = brute_force_lp(n, cost, rows, lo, hi)
             if expect is None:
                 assert sol.status is LpStatus.INFEASIBLE
             else:
                 assert sol.optimal
                 assert sol.value == pytest.approx(expect, abs=1e-7)
+    assert seen["crashed"] > 60 and seen["outside"] > 30
+    assert seen["senses"] == {"<=", ">=", "="}
 
 
 def test_oracle_battery_wide():
@@ -136,6 +179,29 @@ def test_oracle_battery_wide():
             assert sol.status is LpStatus.INFEASIBLE
         else:
             assert sol.optimal and sol.value == pytest.approx(expect, abs=1e-7)
+
+
+def test_parity_relax_root_is_crashed():
+    # on the cuts_n120 code the parity relaxation's optimum is the hard
+    # decision; the crash puts z_i in the basis for exactly the checks whose
+    # rows that point violates at z = 0 (those with a 1 in their support),
+    # which is the basis the dual pivots reached, so the root takes no pivot
+    from mpdec.channels import Biawgn, llr, transmit, trial_rng
+    from mpdec.formulations import build_formulation
+    from mpdec.gf2 import random_regular_ldpc
+    code = random_regular_ldpc(120, 3, 6, 620)
+    channel = Biawgn(0.75)
+    h = np.array([[(row >> j) & 1 for j in range(120)] for row in code.H.rows])
+    for t in range(20):
+        lam = llr(transmit(np.zeros(120, dtype=np.uint8), channel, trial_rng(3, 0, t)), channel)
+        sol = solve(build_formulation(code, "parity_relax", lam).lp)
+        hard = (lam < 0).astype(float)
+        assert sol.optimal and sol.pivots == 0
+        assert np.array_equal(sol.x[:120], hard)
+        basic = np.sort(sol.state.basis[sol.state.basis < sol.state.nstruct])
+        ones = h @ hard
+        assert np.array_equal(basic, 120 + np.flatnonzero(ones))
+        assert np.array_equal(sol.x[120:], ones / 2)
 
 
 def test_feasibility_residuals():
@@ -239,6 +305,27 @@ def test_fix_variable_multi_bit_pin(code84):
         fix_variable_resolve(sol, (0, 1), (1.0,))
     with pytest.raises(ValueError):
         fix_variable_resolve(sol, (0, 0), (1.0, 0.0))
+
+
+def test_pins_may_only_narrow():
+    # the logicals' bounds are tightened over the box, so a pin outside it
+    # solved another LP: on x0 + x1 <= 5 over [0, 1]^2, pinning x0 to 4 gave
+    # INFEASIBLE (a fresh solve gives 4), and to -1 under cost (1, 1) gave 0
+    # at (-1, 1) (the optimum is -1)
+    row = [([(0, 1.0), (1, 1.0)], "<=", 5.0)]
+    sol = solve(make_problem(2, [1.0, 1.0], row))
+    for value in (4.0, -1.0):
+        with pytest.raises(ValueError, match="not inside"):
+            fix_variable_resolve(sol, 0, value)
+    # a pinned bit may not be re-pinned to another value, also after add_rows
+    pinned = fix_variable_resolve(sol, 0, 1.0)
+    grown = add_rows_resolve(pinned, [([(1, 1.0)], ">=", 0.5)])
+    for state in (pinned, grown):
+        with pytest.raises(ValueError, match="not inside"):
+            fix_variable_resolve(state, 0, 0.0)
+        again = fix_variable_resolve(state, 0, 1.0)
+        assert again.optimal and again.x[0] == 1.0
+    assert fix_variable_resolve(grown, 1, 0.75).value == pytest.approx(1.75, abs=1e-12)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -363,6 +450,11 @@ def test_zero_row_problem_bound_flips():
     assert sol.value == pytest.approx(-4.0, abs=1e-12)
 
 
+def add_lp_rows(engine, rows):
+    """Append LpRows to an engine, which takes rows as arrays."""
+    engine.add_rows(*_parse_rows(tuple(rows), engine.nstruct))
+
+
 def dense_basis(engine):
     """The basis matrix as columns of the explicit [A | -I]."""
     full = np.hstack([engine.a, -np.eye(engine.m)])
@@ -401,9 +493,9 @@ def test_kernel_inverse_after_add_rows():
         if not sol.optimal:
             continue
         engine = sol.state.clone()
-        engine.add_rows(tuple(LpRow(tuple((j, float(v)) for j, v in
-                                          enumerate(rng.integers(-2, 3, size=n)) if v),
-                                    "<=", 1.0) for _ in range(3)))
+        add_lp_rows(engine, [LpRow(tuple((j, float(v)) for j, v in
+                                         enumerate(rng.integers(-2, 3, size=n)) if v),
+                                   "<=", 1.0) for _ in range(3)])
         eye = np.eye(engine.m)
         assert np.allclose(engine.b_inv @ dense_basis(engine), eye, atol=1e-9)
         engine._refactor()
@@ -451,9 +543,9 @@ def test_stored_block_follows_random_pivots():
                     seen["enter"] += moved[0] >= n
                     seen["leave"] += moved[1] >= n
             elif kind == "add_rows" and engine.m < 12:
-                engine.add_rows(tuple(LpRow(tuple((j, float(v)) for j, v in enumerate(
+                add_lp_rows(engine, [LpRow(tuple((j, float(v)) for j, v in enumerate(
                     rng.integers(-2, 3, size=n)) if v) or ((0, 1.0),), "<=", 1.0)
-                    for _ in range(int(rng.integers(1, 3)))))
+                    for _ in range(int(rng.integers(1, 3)))])
             elif kind == "clone":
                 parent, frozen = engine, engine.b_inv
                 engine = engine.clone()
