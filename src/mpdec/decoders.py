@@ -360,8 +360,7 @@ def fractional_distance(code: LinearCode, formulation: str = "fs") -> float:
     return float(best)
 
 
-def facet_guessing_decode(code: LinearCode, llr, mode: str = "exhaustive",
-                          num_faces: int | None = None,
+def facet_guessing_decode(code: LinearCode, llr, num_faces: int | None = None,
                           rng_seed: int = 0) -> DecodeResult:
     """Re-optimize on faces not active at a failed LP optimum.
 
@@ -369,10 +368,10 @@ def facet_guessing_decode(code: LinearCode, llr, mode: str = "exhaustive",
     pseudocodeword does not touch; each face LP that comes back integral
     proposes a codeword, and the cheapest proposal wins (without an ML
     certificate).  It keeps the full forbidden-set root, since the faces it
-    enumerates are that description's rows.
+    enumerates are that description's rows.  With `num_faces` given and
+    smaller than the number of candidate faces, that many are sampled
+    (seeded by `rng_seed`); otherwise every face is tried.
     """
-    if mode not in ("exhaustive", "random"):
-        raise ValueError("mode must be 'exhaustive' or 'random'")
 
     def search(form, root, incumbent, stats):
         x = root.x[:code.n]
@@ -384,7 +383,7 @@ def facet_guessing_decode(code: LinearCode, llr, mode: str = "exhaustive",
                 faces.append((None, (j, 0.0)))
             if x[j] < 1.0 - FEAS_TOL:
                 faces.append((None, (j, 1.0)))
-        if mode == "random" and num_faces is not None and num_faces < len(faces):
+        if num_faces is not None and num_faces < len(faces):
             rng = np.random.default_rng(rng_seed)
             idx = rng.choice(len(faces), size=num_faces, replace=False)
             faces = [faces[int(i)] for i in sorted(idx)]
@@ -664,8 +663,7 @@ _DECODERS = {
     "constant_depth": lambda cfg, c, l: constant_depth_decode(
         c, l, cfg.depth, cfg.subset_size),
     "facet_guessing": lambda cfg, c, l: facet_guessing_decode(
-        c, l, "exhaustive" if cfg.num_faces is None else "random",
-        cfg.num_faces, cfg.seed),
+        c, l, cfg.num_faces, cfg.seed),
     "bit_guessing": lambda cfg, c, l: bit_guessing_decode(
         c, l, cfg.guess_scale, cfg.seed),
     "min_sum": lambda cfg, c, l: min_sum_decode(c, l, cfg.max_iterations),

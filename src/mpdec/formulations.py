@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress, product, repeat
 
 import numpy as np
 
@@ -137,9 +137,55 @@ class Formulation:
     n: int
     row_tags: tuple[tuple, ...]
 
-    @property
-    def x_cols(self) -> tuple[int, ...]:
-        return tuple(range(self.n))
+
+class _Rows:
+    """A formulation as its builder emits it: columns 0..n-1 are the code
+    bits, `columns` hands out auxiliary ones after them, and every row is
+    kept with its tag."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.upper = [1.0] * n
+        self.rows: list[LpRow] = []
+        self.tags: list[tuple] = []
+
+    def columns(self, count: int, upper: float = 1.0) -> range:
+        """`count` new auxiliary columns over [0, upper]."""
+        self.upper += [upper] * count
+        return range(len(self.upper) - count, len(self.upper))
+
+    def add(self, tag: tuple, coeffs, sense: str, rhs: float):
+        self.rows.append(LpRow(tuple(coeffs), sense, rhs))
+        self.tags.append(tag)
+
+    def forbidden_sets(self, check: int, support):
+        """Every forbidden-set inequality of one support."""
+        for ineq in fs_inequalities(support):
+            self.rows.append(ineq.as_lp_row())
+            self.tags.append(("fs", check, ineq.support, ineq.odd_subset))
+
+    def even_configs(self, check: int, support, cols, tags: tuple[str, str]):
+        """One indicator column per even-size subset of the support, a row
+        summing them to 1, and per bit j of the support a row equating its
+        column in `cols` with the indicators of the subsets holding j."""
+        evens = _subsets(support, 0)
+        w = dict(zip(evens, self.columns(len(evens))))
+        self.add((tags[0], check), ((w[s], 1.0) for s in evens), "=", 1.0)
+        for j, col in zip(support, cols):
+            self.add((tags[1], check, j),
+                     [(col, 1.0)] + [(w[s], -1.0) for s in evens if j in s], "=", 0.0)
+
+    def done(self, kind: str, objective) -> Formulation:
+        """The formulation under a length-n objective, zero over the
+        auxiliary columns."""
+        obj = list(objective) + [0.0] * (len(self.upper) - self.n)
+        lp = make_problem(len(self.upper), obj, self.rows, upper=self.upper)
+        return Formulation(kind, lp, self.n, tuple(self.tags))
+
+
+def _checks(h: BinaryMatrix) -> list[tuple[int, tuple[int, ...]]]:
+    """(index, support) of every nonempty row of h."""
+    return [(i, support) for i, support in enumerate(h.layout.supports) if support]
 
 
 def _guard_degree(code: LinearCode):
@@ -153,77 +199,39 @@ def _guard_degree(code: LinearCode):
 def build_fs_lp(code: LinearCode, objective) -> Formulation:
     """Forbidden-set description: one inequality per odd subset per check."""
     _guard_degree(code)
-    rows, tags = [], []
-    for i, support in enumerate(code.H.layout.supports):
-        if not support:
-            continue
-        for ineq in fs_inequalities(support):
-            rows.append(ineq.as_lp_row())
-            tags.append(("fs", i, ineq.support, ineq.odd_subset))
-    lp = make_problem(code.n, objective, rows)
-    return Formulation("fs", lp, code.n, tuple(tags))
+    out = _Rows(code.n)
+    for i, support in _checks(code.H):
+        out.forbidden_sets(i, support)
+    return out.done("fs", objective)
 
 
 def build_config_lp(code: LinearCode, objective) -> Formulation:
     """Even-configuration description with one indicator per local codeword."""
     _guard_degree(code)
-    cols = code.n
-    w_index: dict[tuple[int, tuple[int, ...]], int] = {}
-    rows, tags = [], []
-    for i, support in enumerate(code.H.layout.supports):
-        if not support:
-            continue
-        evens = _subsets(support, 0)
-        for s in evens:
-            w_index[(i, s)] = cols
-            cols += 1
-        rows.append(LpRow(tuple((w_index[(i, s)], 1.0) for s in evens), "=", 1.0))
-        tags.append(("config_sum", i))
-        for j in support:
-            coeffs = [(j, 1.0)]
-            coeffs += [(w_index[(i, s)], -1.0) for s in evens if j in s]
-            rows.append(LpRow(tuple(coeffs), "=", 0.0))
-            tags.append(("config_link", i, j))
-    obj = list(objective) + [0.0] * (cols - code.n)
-    lp = make_problem(cols, obj, rows)
-    return Formulation("config", lp, code.n, tuple(tags))
+    out = _Rows(code.n)
+    for i, support in _checks(code.H):
+        out.even_configs(i, support, support, ("config_sum", "config_link"))
+    return out.done("config", objective)
 
 
 def build_count_lp(code: LinearCode, objective) -> Formulation:
     """Ones-count parity description (polynomial size in the check degree)."""
-    cols = code.n
-    rows, tags = [], []
-    p_index, q_index = {}, {}
-    for i, support in enumerate(code.H.layout.supports):
-        if not support:
-            continue
-        ks = list(range(0, len(support) + 1, 2))
+    out = _Rows(code.n)
+    for i, support in _checks(code.H):
+        ks = range(0, len(support) + 1, 2)
+        p = dict(zip(ks, out.columns(len(ks))))
+        q = dict(zip(product(support, ks), out.columns(len(support) * len(ks))))
+        for j in support:
+            out.add(("count_link", i, j),
+                    [(j, 1.0)] + [(q[j, k], -1.0) for k in ks], "=", 0.0)
+        out.add(("count_sum", i), ((p[k], 1.0) for k in ks), "=", 1.0)
         for k in ks:
-            p_index[(i, k)] = cols
-            cols += 1
+            out.add(("count_match", i, k),
+                    [(q[j, k], 1.0) for j in support] + [(p[k], -float(k))], "=", 0.0)
         for j in support:
             for k in ks:
-                q_index[(j, i, k)] = cols
-                cols += 1
-        for j in support:
-            coeffs = [(j, 1.0)] + [(q_index[(j, i, k)], -1.0) for k in ks]
-            rows.append(LpRow(tuple(coeffs), "=", 0.0))
-            tags.append(("count_link", i, j))
-        rows.append(LpRow(tuple((p_index[(i, k)], 1.0) for k in ks), "=", 1.0))
-        tags.append(("count_sum", i))
-        for k in ks:
-            coeffs = [(q_index[(j, i, k)], 1.0) for j in support]
-            coeffs.append((p_index[(i, k)], -float(k)))
-            rows.append(LpRow(tuple(coeffs), "=", 0.0))
-            tags.append(("count_match", i, k))
-        for j in support:
-            for k in ks:
-                rows.append(LpRow(((q_index[(j, i, k)], 1.0),
-                                   (p_index[(i, k)], -1.0)), "<=", 0.0))
-                tags.append(("count_cap", j, i, k))
-    obj = list(objective) + [0.0] * (cols - code.n)
-    lp = make_problem(cols, obj, rows)
-    return Formulation("count", lp, code.n, tuple(tags))
+                out.add(("count_cap", j, i, k), ((q[j, k], 1.0), (p[k], -1.0)), "<=", 0.0)
+    return out.done("count", objective)
 
 
 def decompose_checks(code: LinearCode) -> tuple[LinearCode, dict[int, tuple[int, int]]]:
@@ -262,21 +270,15 @@ def build_cascade_lp(code: LinearCode, objective) -> Formulation:
     auxiliaries get zero objective weight.
     """
     decomposed, _ = decompose_checks(code)
-    rows, tags = [], []
-    for k, support in enumerate(decomposed.H.layout.supports):
-        if not support:
-            continue
+    out = _Rows(code.n)
+    out.columns(decomposed.n - code.n)  # the partial sums decompose_checks numbered
+    for k, support in _checks(decomposed.H):
         if len(support) == 2:
             a, b = support
-            rows.append(LpRow(((a, 1.0), (b, -1.0)), "=", 0.0))
-            tags.append(("eq2", k, support))
-            continue
-        for ineq in fs_inequalities(support):
-            rows.append(ineq.as_lp_row())
-            tags.append(("fs", k, ineq.support, ineq.odd_subset))
-    obj = list(objective) + [0.0] * (decomposed.n - code.n)
-    lp = make_problem(decomposed.n, obj, rows)
-    return Formulation("cascade", lp, code.n, tuple(tags))
+            out.add(("eq2", k, support), ((a, 1.0), (b, -1.0)), "=", 0.0)
+        else:
+            out.forbidden_sets(k, support)
+    return out.done("cascade", objective)
 
 
 def build_edge_lp(code: LinearCode, objective) -> Formulation:
@@ -285,71 +287,36 @@ def build_edge_lp(code: LinearCode, objective) -> Formulation:
     nothing repetition codes) linked by equality rows."""
     _guard_degree(code)
     tg = code.tanner
-    cols = code.n
-    u_index, v_index, w_index, alpha_index = {}, {}, {}, {}
+    out = _Rows(code.n)
+    u, alpha, v = {}, {}, {}
     for j in range(code.n):
-        for i in (None,) + tg.var_neighbors[j]:
-            u_index[(j, i)] = cols
-            cols += 1
-        for s in ("empty", "full"):
-            alpha_index[(j, s)] = cols
-            cols += 1
+        ends = (None,) + tg.var_neighbors[j]
+        u.update(zip(((j, i) for i in ends), out.columns(len(ends))))
+        alpha[j] = out.columns(2)  # the "empty" and "full" repetition words
     for i in range(code.m):
-        for j in tg.check_neighbors[i]:
-            v_index[(i, j)] = cols
-            cols += 1
-    rows, tags = [], []
+        nbrs = tg.check_neighbors[i]
+        v.update(zip(((i, j) for j in nbrs), out.columns(len(nbrs))))
     for j in range(code.n):
-        rows.append(LpRow(((j, 1.0), (u_index[(j, None)], -1.0)), "=", 0.0))
-        tags.append(("edge_x", j))
+        empty, full = alpha[j]
+        out.add(("edge_x", j), ((j, 1.0), (u[j, None], -1.0)), "=", 0.0)
         for i in (None,) + tg.var_neighbors[j]:
-            rows.append(LpRow(((u_index[(j, i)], 1.0),
-                               (alpha_index[(j, "full")], -1.0)), "=", 0.0))
-            tags.append(("edge_rep", j, i))
-        rows.append(LpRow(((alpha_index[(j, "empty")], 1.0),
-                           (alpha_index[(j, "full")], 1.0)), "=", 1.0))
-        tags.append(("edge_rep_sum", j))
+            out.add(("edge_rep", j, i), ((u[j, i], 1.0), (full, -1.0)), "=", 0.0)
+        out.add(("edge_rep_sum", j), ((empty, 1.0), (full, 1.0)), "=", 1.0)
         for i in tg.var_neighbors[j]:
-            rows.append(LpRow(((u_index[(j, i)], 1.0),
-                               (v_index[(i, j)], -1.0)), "=", 0.0))
-            tags.append(("edge_uv", i, j))
-    for i, support in enumerate(code.H.layout.supports):
-        if not support:
-            continue
-        evens = _subsets(support, 0)
-        for s in evens:
-            w_index[(i, s)] = cols
-            cols += 1
-        rows.append(LpRow(tuple((w_index[(i, s)], 1.0) for s in evens), "=", 1.0))
-        tags.append(("edge_cfg_sum", i))
-        for j in support:
-            coeffs = [(v_index[(i, j)], 1.0)]
-            coeffs += [(w_index[(i, s)], -1.0) for s in evens if j in s]
-            rows.append(LpRow(tuple(coeffs), "=", 0.0))
-            tags.append(("edge_cfg", i, j))
-    obj = list(objective) + [0.0] * (cols - code.n)
-    lp = make_problem(cols, obj, rows)
-    return Formulation("edge", lp, code.n, tuple(tags))
+            out.add(("edge_uv", i, j), ((u[j, i], 1.0), (v[i, j], -1.0)), "=", 0.0)
+    for i, support in _checks(code.H):
+        out.even_configs(i, support, [v[i, j] for j in support],
+                         ("edge_cfg_sum", "edge_cfg"))
+    return out.done("edge", objective)
 
 
 def build_parity_relax_lp(code: LinearCode, objective) -> Formulation:
     """Relaxation of the integer parity model Hx = 2z with continuous z."""
-    cols = code.n
-    rows, tags = [], []
-    lower = [0.0] * code.n
-    upper = [1.0] * code.n
-    for i, support in enumerate(code.H.layout.supports):
-        if not support:
-            continue
-        z = cols
-        cols += 1
-        lower.append(0.0)
-        upper.append(float(len(support) // 2))
-        rows.append(LpRow(tuple((j, 1.0) for j in support) + ((z, -2.0),), "=", 0.0))
-        tags.append(("parity", i))
-    obj = list(objective) + [0.0] * (cols - code.n)
-    lp = make_problem(cols, obj, rows, lower, upper)
-    return Formulation("parity_relax", lp, code.n, tuple(tags))
+    out = _Rows(code.n)
+    for i, support in _checks(code.H):
+        (z,) = out.columns(1, float(len(support) // 2))
+        out.add(("parity", i), tuple((j, 1.0) for j in support) + ((z, -2.0),), "=", 0.0)
+    return out.done("parity_relax", objective)
 
 
 _BUILDERS = {

@@ -17,7 +17,7 @@ import io
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,8 @@ class SimConfig:
             raise ValueError("channel must be 'bsc' or 'biawgn'")
         if not self.points:
             raise ValueError("need at least one channel point")
+        if len(set(self.points)) != len(self.points):
+            raise ValueError("repeated channel point: a CSV holds one row per point")
         if not self.decoders:
             raise ValueError("need at least one decoder")
         if self.max_frames < 1 or self.min_frame_errors < 1:
@@ -96,10 +98,15 @@ def simulate(config: SimConfig, on_frame=None) -> list[SimRecord]:
     `min_frame_errors` frame errors, or at `max_frames`.  The optional
     `on_frame(point_index, trial, name, result)` hook sees every decode.
     """
+    return _simulate_points(config, on_frame, skip=())
+
+
+def _simulate_points(config: SimConfig, on_frame, skip) -> list[SimRecord]:
+    """The records of every channel point not in `skip`, in config order."""
     records: list[SimRecord] = []
     for pi, point in enumerate(config.points):
-        one = replace(config, points=(point,))
-        records.extend(simulate_one_point(one, pi, on_frame))
+        if point not in skip:
+            records.extend(simulate_one_point(config, pi, on_frame))
     return records
 
 
@@ -148,15 +155,9 @@ def simulate_to_csv(config: SimConfig, path: str, on_frame=None) -> list[SimReco
             existing = fh.read()
         for r in read_records_csv(existing):
             done_points.add(r.point)
-    todo = tuple(p for p in config.points if p not in done_points)
-    if not todo:
+    if done_points.issuperset(config.points):
         return read_records_csv(existing)
-    # point indices stay tied to the full config so RNG streams are stable
-    index_of = {p: i for i, p in enumerate(config.points)}
-    records = []
-    for p in todo:
-        one = replace(config, points=(p,))
-        records.extend(simulate_one_point(one, index_of[p], on_frame))
+    records = _simulate_points(config, on_frame, skip=done_points)
     with open(path, "a") as fh:
         fh.write(format_records_csv(records, include_header=not existing))
     with open(path) as fh:
@@ -165,12 +166,11 @@ def simulate_to_csv(config: SimConfig, path: str, on_frame=None) -> list[SimReco
 
 def simulate_one_point(config: SimConfig, point_index: int, on_frame=None
                        ) -> list[SimRecord]:
-    """Simulate a single-point config using a caller-supplied point index
-    for the trial RNG streams (keeps campaign idempotence seed-stable)."""
-    if len(config.points) != 1:
-        raise ValueError("expected a single-point config")
+    """Simulate channel point config.points[point_index].  Its trials draw
+    from the RNG streams of that index, so a point's records do not depend
+    on which other points are run (keeps campaign idempotence seed-stable)."""
     zero = np.zeros(config.code.n, dtype=np.uint8)
-    point = config.points[0]
+    point = config.points[point_index]
     channel = config.channel_model(point)
     decoders = [(name, make_decoder(name, config.decoder_config))
                 for name in config.decoders]

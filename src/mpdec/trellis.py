@@ -13,22 +13,26 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decoders import DecodeResult, DecodeStats, DecodeStatus, _solver_error
-from .simplex import (LpProblem, LpRow, LpSolverError, is_integral,
+from .simplex import (COST_TOL, LpProblem, LpRow, LpSolverError, is_integral,
                       make_problem, solve)
 
 
 @dataclass(frozen=True)
 class FsmSpec:
-    """Deterministic, total transition table (state, bit) -> (state, outputs)."""
+    """Deterministic, total transition table (state, bit) -> (state, outputs).
+
+    `_steps` holds the validated table as a dict for `step`.
+    """
 
     num_states: int
     table: tuple[tuple[int, int, int, tuple[int, ...]], ...]
     systematic: bool = True
+    _steps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = {}
@@ -44,12 +48,10 @@ class FsmSpec:
             for u in (0, 1):
                 if (s, u) not in seen:
                     raise ValueError(f"missing transition for ({s}, {u})")
+        object.__setattr__(self, "_steps", seen)
 
     def step(self, state: int, bit: int) -> tuple[int, tuple[int, ...]]:
-        for s, u, s2, out in self.table:
-            if s == state and u == bit:
-                return s2, out
-        raise KeyError((state, bit))
+        return self._steps[(state, bit)]
 
 
 def accumulator_fsm() -> FsmSpec:
@@ -226,46 +228,40 @@ def encode_turbo(spec: TurboSpec, u) -> np.ndarray | None:
 
 
 def turbo_ml_bruteforce(spec: TurboSpec, llr) -> tuple[np.ndarray, float]:
-    """Exact turbo ML by enumerating the 2^k information words (k <= 20)."""
+    """Exact turbo ML by enumerating the 2^k information words (k <= 20).
+
+    Codewords whose costs lie within COST_TOL of the least cost tie, and the
+    lexicographically smallest of them wins, as in `ml_bruteforce`.
+    """
     if spec.k > 20:
         raise ValueError("k too large to enumerate")
     llr = np.asarray(llr, dtype=float)
-    best_val, best_x = math.inf, None
+    low, tied = math.inf, []
     for word in range(1 << spec.k):
-        u = [(word >> j) & 1 for j in range(spec.k)]
-        x = encode_turbo(spec, u)
+        x = encode_turbo(spec, [(word >> j) & 1 for j in range(spec.k)])
         if x is None:
             continue
         val = float(llr @ x)
-        if val < best_val - 1e-15:
-            best_val, best_x = val, x
-    if best_x is None:
+        if val < low:
+            low = val
+            tied = [(y, v) for y, v in tied if v <= low + COST_TOL]
+        if val <= low + COST_TOL:
+            tied.append((x, val))
+    if not tied:
         raise ValueError("no terminating information word")
-    return best_x, best_val
+    return min(tied, key=lambda c: tuple(c[0]))
 
 
-def _flow_rows(trellis: Trellis, col_of_edge, tag: str):
+def _flow_rows(trellis: Trellis, col_of_edge) -> list[LpRow]:
     """Unit source/sink rows plus conservation at every interior state."""
-    rows, tags = [], []
-    first = trellis.segments[0]
-    rows.append(LpRow(tuple((col_of_edge[e.edge_id], 1.0) for e in first), "=", 1.0))
-    tags.append((f"{tag}_source",))
-    last = trellis.segments[-1]
-    rows.append(LpRow(tuple((col_of_edge[e.edge_id], 1.0) for e in last), "=", 1.0))
-    tags.append((f"{tag}_sink",))
-    for t in range(trellis.k - 1):
-        outs: dict[int, list[int]] = {}
-        ins: dict[int, list[int]] = {}
-        for e in trellis.segments[t]:
-            ins.setdefault(e.to, []).append(col_of_edge[e.edge_id])
-        for e in trellis.segments[t + 1]:
-            outs.setdefault(e.frm, []).append(col_of_edge[e.edge_id])
-        for s in sorted(set(ins) | set(outs)):
-            coeffs = [(c, 1.0) for c in outs.get(s, [])]
-            coeffs += [(c, -1.0) for c in ins.get(s, [])]
+    rows = [LpRow(tuple((col_of_edge[e.edge_id], 1.0) for e in seg), "=", 1.0)
+            for seg in (trellis.segments[0], trellis.segments[-1])]
+    for into, out_of in zip(trellis.segments, trellis.segments[1:]):
+        for s in sorted({e.to for e in into} | {e.frm for e in out_of}):
+            coeffs = [(col_of_edge[e.edge_id], 1.0) for e in out_of if e.frm == s]
+            coeffs += [(col_of_edge[e.edge_id], -1.0) for e in into if e.to == s]
             rows.append(LpRow(tuple(coeffs), "=", 0.0))
-            tags.append((f"{tag}_conserve", t + 1, s))
-    return rows, tags
+    return rows
 
 
 def trellis_flow_lp(trellis: Trellis, edge_costs) -> LpProblem:
@@ -273,56 +269,36 @@ def trellis_flow_lp(trellis: Trellis, edge_costs) -> LpProblem:
     structure)."""
     costs = np.asarray(edge_costs, dtype=float)
     col_of_edge = {e.edge_id: i for i, e in enumerate(trellis.edges())}
-    rows, _ = _flow_rows(trellis, col_of_edge, "flow")
-    obj = np.zeros(trellis.num_edges)
-    for e in trellis.edges():
-        obj[col_of_edge[e.edge_id]] = costs[e.edge_id]
-    return make_problem(trellis.num_edges, obj, rows)
+    obj = costs[[e.edge_id for e in trellis.edges()]]
+    return make_problem(trellis.num_edges, obj, _flow_rows(trellis, col_of_edge))
 
 
 def build_turbo_lp(spec: TurboSpec, llr):
-    """Flow LP of both trellises coupled through the codeword variables.
+    """Flow LP of both encoders' trellis coupled through the codeword variables.
 
-    Columns: x_s (k), x_a (k), x_b (k), then the two flow blocks.  The
-    systematic bits are tied to encoder a's input edges directly and to
-    encoder b's through the interleaver.
+    Columns: x_s (k), x_a (k), x_b (k), then encoder a's and encoder b's flow
+    blocks over the one trellis returned twice (`ta is tb`).  The systematic
+    bits are tied to encoder a's input edges directly and to encoder b's
+    through the interleaver.
     """
     k = spec.k
     llr = np.asarray(llr, dtype=float)
     if llr.shape != (3 * k,):
         raise ValueError("llr must have length 3k")
-    ta = build_trellis(spec.fsm, k)
-    tb = build_trellis(spec.fsm, k)
-    cols = 3 * k
-    col_a = {e.edge_id: cols + i for i, e in enumerate(ta.edges())}
-    cols += ta.num_edges
-    col_b = {e.edge_id: cols + i for i, e in enumerate(tb.edges())}
-    cols += tb.num_edges
-    rows, tags = [], []
-    for trellis, cmap, tag in ((ta, col_a, "a"), (tb, col_b, "b")):
-        fr, ft = _flow_rows(trellis, cmap, tag)
-        rows += fr
-        tags += ft
-    for j in range(k):
-        coeffs = [(k + j, 1.0)] + [(col_a[e.edge_id], -1.0)
-                                   for e in ta.segments[j] if e.output_bits[0]]
-        rows.append(LpRow(tuple(coeffs), "=", 0.0))
-        tags.append(("parity", "a", j))
-        coeffs = [(2 * k + j, 1.0)] + [(col_b[e.edge_id], -1.0)
-                                       for e in tb.segments[j] if e.output_bits[0]]
-        rows.append(LpRow(tuple(coeffs), "=", 0.0))
-        tags.append(("parity", "b", j))
-        coeffs = [(j, 1.0)] + [(col_a[e.edge_id], -1.0)
-                               for e in ta.segments[j] if e.input_bit]
-        rows.append(LpRow(tuple(coeffs), "=", 0.0))
-        tags.append(("systematic", "a", j))
-        coeffs = [(spec.interleaver[j], 1.0)] + [(col_b[e.edge_id], -1.0)
-                                                 for e in tb.segments[j] if e.input_bit]
-        rows.append(LpRow(tuple(coeffs), "=", 0.0))
-        tags.append(("systematic", "b", j))
-    obj = np.concatenate([llr, np.zeros(cols - 3 * k)])
-    lp = make_problem(cols, obj, rows)
-    return lp, (ta, tb, col_a, col_b)
+    t = build_trellis(spec.fsm, k)
+    col_a = {e.edge_id: 3 * k + i for i, e in enumerate(t.edges())}
+    col_b = {eid: col + t.num_edges for eid, col in col_a.items()}
+    rows = _flow_rows(t, col_a) + _flow_rows(t, col_b)
+    for j, seg in enumerate(t.segments):
+        parity = [e.edge_id for e in seg if e.output_bits[0]]
+        inputs = [e.edge_id for e in seg if e.input_bit]
+        for x_col, col, edges in ((k + j, col_a, parity), (2 * k + j, col_b, parity),
+                                  (j, col_a, inputs), (spec.interleaver[j], col_b, inputs)):
+            rows.append(LpRow(((x_col, 1.0),) + tuple((col[eid], -1.0) for eid in edges),
+                              "=", 0.0))
+    obj = np.concatenate([llr, np.zeros(2 * t.num_edges)])
+    lp = make_problem(3 * k + 2 * t.num_edges, obj, rows)
+    return lp, (t, t, col_a, col_b)
 
 
 def turbo_lp_decode(spec: TurboSpec, llr) -> DecodeResult:
@@ -362,54 +338,37 @@ def turbo_lagrangian_decode(spec: TurboSpec, llr, max_iterations: int = 50
     k = spec.k
     llr = np.asarray(llr, dtype=float)
     lam_s, lam_a, lam_b = llr[:k], llr[k:2 * k], llr[2 * k:]
-    ta = build_trellis(spec.fsm, k)
-    tb = build_trellis(spec.fsm, k)
-    inv_pi = np.empty(k, dtype=int)
-    for j in range(k):
-        inv_pi[spec.interleaver[j]] = j
-    base_a = np.zeros(ta.num_edges)
-    base_b = np.zeros(tb.num_edges)
-    for t in range(k):
-        for e in ta.segments[t]:
-            base_a[e.edge_id] = lam_a[t] * e.output_bits[0] + lam_s[t] * e.input_bit
-        for e in tb.segments[t]:
-            base_b[e.edge_id] = lam_b[t] * e.output_bits[0]
+    t = build_trellis(spec.fsm, k)
+    # per-edge arrays, indexed by edge_id (build_trellis numbers edges in order)
+    seg = np.repeat(np.arange(k), [len(edges) for edges in t.segments])
+    bit = np.array([e.input_bit for e in t.edges()], dtype=np.uint8)
+    parity = np.array([e.output_bits[0] for e in t.edges()], dtype=np.uint8)
+    base_a = lam_a[seg] * parity + lam_s[seg] * bit
+    base_b = lam_b[seg] * parity
+    pi = np.array(spec.interleaver)
+    ones = bit == 1
+    # an input edge of segment t carries multiplier mu[inv_pi[t]] in a, mu[t] in b
+    mu_of_a = np.argsort(pi)[seg[ones]]
+    mu_of_b = seg[ones]
     mu = np.zeros(k)
     step0 = float(np.max(np.abs(llr))) or 1.0
     best_lb = -math.inf
     best_cw, best_val = None, math.inf
-
-    def inputs_of(trellis, path):
-        by_id = {e.edge_id: e for e in trellis.edges()}
-        return np.array([by_id[eid].input_bit for eid in path], dtype=np.uint8)
-
-    def parities_of(trellis, path):
-        by_id = {e.edge_id: e for e in trellis.edges()}
-        return np.array([by_id[eid].output_bits[0] for eid in path], dtype=np.uint8)
-
     for it in range(max_iterations):
         cost_a = base_a.copy()
         cost_b = base_b.copy()
-        for t in range(k):
-            adj_a = mu[inv_pi[t]]
-            for e in ta.segments[t]:
-                if e.input_bit:
-                    cost_a[e.edge_id] += adj_a
-            for e in tb.segments[t]:
-                if e.input_bit:
-                    cost_b[e.edge_id] -= mu[t]
-        path_a, va = viterbi(ta, cost_a)
-        path_b, vb = viterbi(tb, cost_b)
+        cost_a[ones] += mu[mu_of_a]
+        cost_b[ones] -= mu[mu_of_b]
+        path_a, va = viterbi(t, cost_a)
+        path_b, vb = viterbi(t, cost_b)
         best_lb = max(best_lb, va + vb)
-        ua = inputs_of(ta, path_a)
-        ub = inputs_of(tb, path_b)
-        g = np.array([float(ua[spec.interleaver[j]]) - float(ub[j])
-                      for j in range(k)])
+        ua = bit[list(path_a)]
+        ub = bit[list(path_b)]
+        g = ua[pi].astype(float) - ub
         if not g.any():
-            x = np.concatenate([ua, parities_of(ta, path_a),
-                                parities_of(tb, path_b)])
+            x = np.concatenate([ua, parity[list(path_a)], parity[list(path_b)]])
             val = float(llr @ x)
             if val < best_val:
-                best_val, best_cw = val, x.astype(np.uint8)
+                best_val, best_cw = val, x
         mu = mu + (step0 / (1.0 + it)) * g
     return best_lb, best_cw

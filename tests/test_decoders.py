@@ -153,7 +153,7 @@ def test_facet_guessing_recovers_ml(hamming):
     hits = 0
     for _ in range(25):
         lam, _ = fractional_instance(hamming, rng, lp_decode)
-        res = facet_guessing_decode(hamming, lam, mode="exhaustive")
+        res = facet_guessing_decode(hamming, lam)
         if res.status is DecodeStatus.CODEWORD_FOUND:
             assert not syndrome(hamming.H, res.codeword()).any()
             cw, mlv = ml_bruteforce(hamming, lam)
@@ -165,8 +165,8 @@ def test_facet_guessing_recovers_ml(hamming):
 def test_facet_guessing_random_full_equals_exhaustive(hamming):
     rng = np.random.default_rng(11)
     lam, _ = fractional_instance(hamming, rng, lp_decode)
-    a = facet_guessing_decode(hamming, lam, mode="exhaustive")
-    b = facet_guessing_decode(hamming, lam, mode="random", num_faces=10 ** 6)
+    a = facet_guessing_decode(hamming, lam)
+    b = facet_guessing_decode(hamming, lam, num_faces=10 ** 6)
     assert a.status == b.status
     if a.status is DecodeStatus.CODEWORD_FOUND:
         assert np.array_equal(a.codeword(), b.codeword())

@@ -1,5 +1,6 @@
 """Relaxation builders, separation routines, and cut searches."""
 
+import hashlib
 import itertools
 import math
 
@@ -20,7 +21,8 @@ from mpdec.formulations import (CUT_TOL, FsInequality, build_cascade_lp,
                                 rpc_cycle_cut_search, rpc_from_rows,
                                 separate_fs_cuts)
 from mpdec.gf2 import (BinaryMatrix, LinearCode, enumerate_codewords,
-                       ml_bruteforce, pack_bits, syndrome)
+                       ml_bruteforce, pack_bits, random_regular_ldpc,
+                       spc_product_code, syndrome)
 from mpdec.simplex import add_rows_resolve, solve
 
 from conftest import (random_sparse_code, reference_most_violated_fs_cut,
@@ -519,3 +521,40 @@ def test_batch_separation_sums_in_support_order():
     assert most_violated_fs_cut((3, 1, 0, 2), x, tol=0.0) == want
     cuts = row_fs_cuts(BinaryMatrix(4, (0, 0b1111)), x, tol=0.0)
     assert cuts == [want] and cuts[0].check == 1
+
+
+# Every builder's output, pinned: the sha256 of the repr of its kind, n, row
+# tags, columns, objective, rows and box, over four codes (one with an empty
+# check and degree-2 checks), called directly and through build_formulation.
+_PIN_CODES = (
+    lambda: random_regular_ldpc(24, 3, 6, 1),
+    lambda: spc_product_code((3, 3, 3)),
+    lambda: random_regular_ldpc(32, 3, 4, 7),
+    lambda: LinearCode(BinaryMatrix(6, (0b111111, 0b000011, 0, 0b110000))),
+)
+_BUILDER_DIGESTS = {
+    "fs": "bffa432c4e7c90f3b43eed3948b43bd3f75aa5041af81e46d850275698988d48",
+    "config": "94ec3158d479933ea13e93c0e344c089a16477ebed2c75ae25a1fef6b6b4c9be",
+    "count": "b33fd4649223047b6c5c9065e37cf35c9491621e8d0e23f3054bfed5d7e24dcf",
+    "cascade": "f708b473eb69c38c37ac2cdcb56806a5157d15b754fcbb2ebd30f2d27d903463",
+    "edge": "40fba00dd8404261bc68c7eb8de5bb89d974e7b0dc76136d98fb3b04c4ae55a9",
+    "parity_relax": "09ee9255a913f2403c3b59664f43a361a25524b3bfdf426c84f380c3e98ea316",
+}
+
+
+def _formulation_digest(kind):
+    h = hashlib.sha256()
+    for seed, make_code in enumerate(_PIN_CODES):
+        code = make_code()
+        lam = np.random.default_rng(seed).standard_normal(code.n)
+        texts = [repr((f.kind, f.n, f.row_tags, f.lp.num_vars, f.lp.objective,
+                       f.lp.rows, f.lp.lower, f.lp.upper))
+                 for f in (_FRESH[kind](code, lam), build_formulation(code, kind, lam))]
+        assert texts[0] == texts[1]
+        h.update(texts[0].encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(_BUILDER_DIGESTS))
+def test_builder_output_is_pinned(kind):
+    assert _formulation_digest(kind) == _BUILDER_DIGESTS[kind]

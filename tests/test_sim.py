@@ -38,6 +38,10 @@ def test_config_validation(small_code):
         small_config(small_code, decoders=())
     with pytest.raises(ValueError):
         small_config(small_code, max_frames=0)
+    # a repeated point would run one RNG stream per index, but a CSV keys
+    # its rows by point
+    with pytest.raises(ValueError, match="repeated"):
+        small_config(small_code, points=(0.1, 0.1))
 
 
 def test_simulate_deterministic(small_code):

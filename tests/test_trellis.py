@@ -1,10 +1,12 @@
 """Trellises, Viterbi, the turbo flow LP, and its Lagrangian dual."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from mpdec.decoders import DecodeStatus
-from mpdec.simplex import solve
+from mpdec.simplex import COST_TOL, solve
 from mpdec.trellis import (FsmSpec, TurboSpec, accumulator_fsm, build_trellis,
                            build_turbo_lp, encode_turbo, four_state_fsm,
                            fsm_to_text, parse_fsm_text, trellis_flow_lp,
@@ -170,6 +172,7 @@ def test_turbo_identity_interleaver_symmetry():
     rng = np.random.default_rng(5)
     lam = np.concatenate([rng.standard_normal(6), np.full(6, 0.3), np.full(6, 0.3)])
     lp, (ta, tb, col_a, col_b) = build_turbo_lp(spec, lam)
+    assert ta is tb  # one trellis serves both encoders
     sol = solve(lp)
     fa = np.array([sol.x[col_a[e.edge_id]] for e in ta.edges()])
     fb = np.array([sol.x[col_b[e.edge_id]] for e in tb.edges()])
@@ -245,6 +248,25 @@ def test_turbo_lp_certified_value_is_exact_codeword_cost():
     assert certified > 0
 
 
+def test_turbo_ml_bruteforce_keeps_smallest_tied_codeword():
+    # +-1 LLRs tie often; like ml_bruteforce, the oracle keeps the
+    # lexicographically smallest codeword within COST_TOL of the best cost
+    spec = TurboSpec(accumulator_fsm(), (1, 0, 3, 2), 4)
+    lam = np.array([1, -1, 1, 1, -1, -1, 1, 1, -1, -1, 1, 1], dtype=float)
+    x, v = turbo_ml_bruteforce(spec, lam)
+    assert "".join(map(str, x)) == "010101101100" and v == float(lam @ x)
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        spec = make_spec(rng, 4)
+        lam = rng.choice((-1.0, 1.0), 12)
+        words = [encode_turbo(spec, [(w >> j) & 1 for j in range(4)]) for w in range(16)]
+        words = [w for w in words if w is not None]
+        low = min(float(lam @ w) for w in words)
+        want = min(tuple(w) for w in words if float(lam @ w) <= low + COST_TOL)
+        x, v = turbo_ml_bruteforce(spec, lam)
+        assert tuple(x) == want and v == float(lam @ x)
+
+
 def test_lagrangian_first_iteration_is_plain_viterbi():
     rng = np.random.default_rng(9)
     spec = make_spec(rng, 6)
@@ -290,3 +312,45 @@ def test_lagrangian_noiseless_recovers_codeword():
     lb, cw = turbo_lagrangian_decode(spec, 1.0 - 2.0 * x.astype(float),
                                      max_iterations=5)
     assert cw is not None and np.array_equal(cw, x)
+
+
+# The flow LP, the turbo LP and the Lagrangian's output, pinned as the sha256
+# of their repr on seeded accumulator and four-state specs.
+_FLOW_DIGEST = "73731de4449fbdca504255f30947644cd01f9c04949d484f281de68b3be903c8"
+_TURBO_DIGEST = "cca3e83dc3a1fd4dfedbc4fb99516a9532e0d27d0343e295c2a6fb2a17c25d8e"
+_LAGRANGIAN_DIGEST = "1b2511eb3bc5c2f7a8648ac444195cfb7dbe5e008b2db009fc6d2054c6680f67"
+
+
+def _digest(parts):
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def _pinned_specs(seed):
+    rng = np.random.default_rng(seed)
+    for fsm in (accumulator_fsm(), four_state_fsm()):
+        for k in (1, 2, 5, 8):
+            yield make_spec(rng, k, fsm), rng.standard_normal(3 * k)
+
+
+def test_flow_and_turbo_lps_are_pinned():
+    rng = np.random.default_rng(30)
+    flows, turbos = [], []
+    for spec, lam in _pinned_specs(31):
+        t = build_trellis(spec.fsm, spec.k)
+        lp = trellis_flow_lp(t, rng.standard_normal(t.num_edges))
+        flows.append((lp.num_vars, lp.objective, lp.rows, lp.lower, lp.upper))
+        lp, (ta, tb, col_a, col_b) = build_turbo_lp(spec, lam)
+        turbos.append((lp.num_vars, lp.objective, lp.rows, lp.lower, lp.upper,
+                       ta, tb, col_a, col_b))
+    assert _digest(flows) == _FLOW_DIGEST
+    assert _digest(turbos) == _TURBO_DIGEST
+
+
+def test_lagrangian_output_is_pinned():
+    out = []
+    for frame in range(20):
+        for spec, lam in _pinned_specs(100 + frame):
+            lb, cw = turbo_lagrangian_decode(spec, lam)
+            out.append((lb.hex(), None if cw is None else (cw.dtype.str, cw.tolist())))
+    assert any(cw is not None for _, cw in out)
+    assert _digest(out) == _LAGRANGIAN_DIGEST
