@@ -3,9 +3,10 @@
 
 Writes one JSON record (default `BENCH_scaling.json` at the repo root) with
 the machine, the Python and numpy versions, the `trial_rng` seeds and, per
-run, ms/frame (the median frame), pivots/frame and ms/pivot (the whole
-decode time over the pivots), each the median of three timed repeats (one
-with `--quick`). The runs are:
+run, ms/frame (the median frame) and ms/pivot (the whole decode time over
+the pivots), each the median of three timed repeats (one with `--quick`),
+and the mean pivots, iterations, final LP rows and branch nodes a frame.
+Adaptive LP's row fraction is `final_lp_rows / n`. The runs are:
 
 - `scratch_n120`: one from-scratch solve of the full forbidden-set LP
   (`lp`) of `random_regular_ldpc(120, 3, 6, seed=620)` at BIAWGN sigma=1.0
@@ -15,7 +16,9 @@ with `--quick`). The runs are:
   `cutting_plane` and `min_sum` on (3,6)-regular codes
   `random_regular_ldpc(n, 3, 6, seed=1)`, n = 60/120/240/1000, and on
   `spc:3,3,3`, at BIAWGN sigma=0.8 on the frames `trial_rng(3, 0, t)`.
-  `lp` skips n = 1000, whose full LP has 16 000 dense rows.
+  `lp` skips n = 1000, whose full LP has 16 000 dense rows;
+- `branch_and_bound@48`: ML decoding of `random_regular_ldpc(48, 3, 6, 1)`
+  at BIAWGN sigma=0.75 on the 20 frames `trial_rng(3, 0, t)`.
 
 `--quick` keeps the scratch solve, drops n = 240 and 1000, decodes fewer
 frames and times one repeat; it runs in well under a minute.  As in
@@ -54,6 +57,7 @@ DECODERS = ("lp", "adaptive_lp", "cutting_plane", "min_sum")
 LP_MAX_N = 240
 FULL_FRAMES = {60: 20, 120: 20, 240: 10, 1000: 5, "spc:3,3,3": 20}
 QUICK_FRAMES = {60: 5, 120: 5, "spc:3,3,3": 5}
+SEARCH = dict(n=48, sigma=0.75, frames=20, quick_frames=5)
 
 
 def frames_for(code, sigma, seed, count):
@@ -67,7 +71,7 @@ def run(name, code, frames, repeats):
     decode = make_decoder(name)
     ms_frame, ms_pivot = [], []
     for _ in range(repeats):
-        times, pivots, iterations, rows = [], [], [], []
+        times, pivots, iterations, rows, nodes = [], [], [], [], []
         for lam in frames:
             start = time.perf_counter()
             res = decode(code, lam)
@@ -75,6 +79,7 @@ def run(name, code, frames, repeats):
             pivots.append(res.stats.pivots)
             iterations.append(res.stats.iterations)
             rows.append(res.stats.final_rows)
+            nodes.append(res.stats.branch_nodes)
         ms_frame.append(statistics.median(times))
         if sum(pivots):
             ms_pivot.append(sum(times) / sum(pivots))
@@ -83,7 +88,16 @@ def run(name, code, frames, repeats):
                 pivots_per_frame=float(np.mean(pivots)),
                 ms_per_pivot=statistics.median(ms_pivot) if ms_pivot else None,
                 iterations_per_frame=float(np.mean(iterations)),
-                final_lp_rows=float(np.mean(rows)))
+                final_lp_rows=float(np.mean(rows)),
+                branch_nodes_per_frame=float(np.mean(nodes)))
+
+
+def report(r):
+    per_pivot = "" if r["ms_per_pivot"] is None else f", {r['ms_per_pivot']:.3f} ms/pivot"
+    nodes = (f", {r['branch_nodes_per_frame']:.1f} nodes/frame"
+             if r["branch_nodes_per_frame"] else "")
+    print(f"{r['run']}: {r['ms_per_frame']:.2f} ms/frame, "
+          f"{r['pivots_per_frame']:.0f} pivots/frame{per_pivot}{nodes}", flush=True)
 
 
 def main():
@@ -100,8 +114,7 @@ def main():
     lam = frames_for(code, SCRATCH["sigma"], SCRATCH["seed"], 1)
     runs.append(dict(run="scratch_n120", code="random_regular_ldpc(120, 3, 6, 620)",
                      sigma=SCRATCH["sigma"], **run("lp", code, lam, repeats)))
-    print(f"scratch_n120 lp: {runs[-1]['ms_per_frame']:.0f} ms, "
-          f"{runs[-1]['pivots_per_frame']:.0f} pivots", flush=True)
+    report(runs[-1])
     for size, count in sizes.items():
         if size == "spc:3,3,3":
             code, label = spc_product_code((3, 3, 3)), size
@@ -114,10 +127,14 @@ def main():
                 continue
             runs.append(dict(run=f"{name}@{size}", code=label, sigma=SIGMA,
                              **run(name, code, lams, repeats)))
-            r = runs[-1]
-            per_pivot = "" if r["ms_per_pivot"] is None else f", {r['ms_per_pivot']:.3f} ms/pivot"
-            print(f"{r['run']}: {r['ms_per_frame']:.2f} ms/frame, "
-                  f"{r['pivots_per_frame']:.0f} pivots/frame{per_pivot}", flush=True)
+            report(runs[-1])
+    code = random_regular_ldpc(SEARCH["n"], 3, 6, 1)
+    lams = frames_for(code, SEARCH["sigma"], FRAME_SEED,
+                      SEARCH["quick_frames" if args.quick else "frames"])
+    runs.append(dict(run=f"branch_and_bound@{SEARCH['n']}",
+                     code=f"random_regular_ldpc({SEARCH['n']}, 3, 6, 1)",
+                     sigma=SEARCH["sigma"], **run("branch_and_bound", code, lams, repeats)))
+    report(runs[-1])
 
     record = dict(
         benchmark="scaling", quick=args.quick, repeats=repeats,

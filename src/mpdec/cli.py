@@ -82,7 +82,8 @@ def cmd_decode(args) -> int:
     print(f"status={result.status.value} value={result.value:.9g} "
           f"point={point} lp_solves={s.lp_solves} cuts={s.cuts_added} "
           f"iterations={s.iterations} branch_nodes={s.branch_nodes} "
-          f"ms={1000 * s.wall_time:.3f}")
+          f"ms={1000 * s.wall_time:.3f} pivots={s.pivots} refactors={s.refactors} "
+          f"warm_fallbacks={s.warm_fallbacks}")
     return 0
 
 

@@ -215,6 +215,14 @@ class LinearCode:
         return TannerGraph.from_matrix(self.H)
 
     @cached_property
+    def codeword_table(self) -> np.ndarray:
+        """All codewords as read-only float rows: `ml_bruteforce`'s table
+        for k <= 16, built on first use."""
+        table = enumerate_codewords(self).astype(np.float64)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
     def lp_cache(self) -> dict:
         """Per-code memo of LP row blocks, filled on first use by
         `formulations.build_formulation`, so nothing is shared across codes."""
@@ -322,7 +330,7 @@ def ml_bruteforce(code: LinearCode, llr) -> tuple[np.ndarray, float]:
     if code.k > 24:
         raise ValueError(f"dimension {code.k} too large to enumerate")
     if code.k <= 16:
-        cw = _codeword_cache(code)
+        cw = code.codeword_table
         vals = cw @ llr
         best = np.flatnonzero(vals <= vals.min() + COST_TOL)
         i = min(best, key=lambda b: tuple(cw[b]))
@@ -349,20 +357,6 @@ def _gray_values(code: LinearCode, llr: np.ndarray):
         for j in set_bits(g):
             val += -llr[j] if (sign >> j) & 1 else llr[j]
         yield word, val
-
-
-_CODEWORD_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _codeword_cache(code: LinearCode) -> np.ndarray:
-    key = (code.n, code.H.rows)
-    cw = _CODEWORD_CACHE.get(key)
-    if cw is None:
-        cw = enumerate_codewords(code).astype(np.float64)
-        if len(_CODEWORD_CACHE) > 64:
-            _CODEWORD_CACHE.clear()
-        _CODEWORD_CACHE[key] = cw
-    return cw
 
 
 def random_regular_ldpc(n: int, d_v: int, d_c: int, seed: int) -> LinearCode:

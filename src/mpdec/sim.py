@@ -147,14 +147,23 @@ def read_records_csv(text: str) -> list[SimRecord]:
 
 
 def simulate_to_csv(config: SimConfig, path: str, on_frame=None) -> list[SimRecord]:
-    """Run only the channel points missing from the CSV and append them."""
-    done_points: set[float] = set()
+    """Run only the channel points missing from the CSV and append them.
+
+    A point the CSV holds must hold every decoder of the config: a point's
+    decoders share one stop rule, so a decoder added later cannot be run
+    alone there, and a `ValueError` names it and the point."""
     existing = ""
     if os.path.exists(path):
         with open(path) as fh:
             existing = fh.read()
-        for r in read_records_csv(existing):
-            done_points.add(r.point)
+    held = {(r.decoder, r.point) for r in read_records_csv(existing)}
+    done_points = {point for _, point in held}
+    for point in config.points:
+        for name in config.decoders:
+            if point in done_points and (name, point) not in held:
+                raise ValueError(f"{path} lacks decoder {name!r} at point "
+                                 f"{_point_text(point)}, which it holds; write the "
+                                 f"campaign to a new file")
     if done_points.issuperset(config.points):
         return read_records_csv(existing)
     records = _simulate_points(config, on_frame, skip=done_points)

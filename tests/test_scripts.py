@@ -1,4 +1,4 @@
-"""Smoke test: each experiment script runs to completion on tiny inputs."""
+"""Smoke test: each script runs to completion on tiny inputs."""
 
 import json
 import os
@@ -10,12 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 ARGS = {
-    "adaptive_lp_profile.py": ["--sizes", "30", "--trials", "5"],
     # relative to the working directory, which is tmp_path
     "bench.py": ["--quick", "--out", "bench.json"],
-    "fractional_distance_report.py": ["--codes", "spc:3,3"],
-    "fer_comparison.py": ["--points", "0.05", "--errors", "2", "--max-frames", "20"],
-    "search_timing.py": ["--n", "12", "--frames", "2"],
 }
 
 
@@ -35,7 +31,11 @@ def test_script_runs(script, tmp_path):
         scratch = record["runs"][0]
         assert scratch["run"] == "scratch_n120" and scratch["final_lp_rows"] == 1920
         assert scratch["ms_per_pivot"] > 0 and scratch["pivots_per_frame"] > 0
-        assert {"lp@60", "lp@120", "lp@spc:3,3,3"} <= {run["run"] for run in record["runs"]}
+        runs = {run["run"]: run for run in record["runs"]}
+        assert {"lp@60", "lp@120", "lp@spc:3,3,3", "branch_and_bound@48"} <= set(runs)
+        assert all("branch_nodes_per_frame" in run for run in runs.values())
+        search = runs["branch_and_bound@48"]
+        assert search["decoder"] == "branch_and_bound" and search["frames"] == 5
 
 
 def test_python_dash_m_mpdec(tmp_path):

@@ -134,6 +134,20 @@ def test_csv_append_only_new_points(tmp_path, small_code):
     assert {r.point for r in records} == {0.03, 0.06}
 
 
+def test_csv_rejects_a_decoder_missing_at_a_held_point(tmp_path):
+    # a point's decoders share one stop rule, so a decoder added to the
+    # config cannot be resumed alone at a point the file already holds
+    code = load_code("spc:3,3")
+    path = str(tmp_path / "out.csv")
+    simulate_to_csv(small_config(code, points=(0.1,), decoders=("min_sum",)), path)
+    with open(path) as fh:
+        first = fh.read()
+    with pytest.raises(ValueError, match=r"'lp'.*point 0\.1\b"):
+        simulate_to_csv(small_config(code, points=(0.1,), decoders=("min_sum", "lp")), path)
+    with open(path) as fh:
+        assert fh.read() == first
+
+
 def test_fresh_runs_agree_in_statistics(tmp_path, small_code):
     cfg = small_config(small_code)
     p1 = str(tmp_path / "a.csv")
@@ -255,6 +269,10 @@ def test_cli_decode_llr(capsys):
     out = capsys.readouterr().out
     assert out.startswith("status=")
     assert "lp_solves=" in out and "value=" in out
+    fields = dict(item.split("=", 1) for item in out.split())
+    # the kernel counters of the one scratch solve
+    assert int(fields["pivots"]) >= 0 and int(fields["refactors"]) >= 1
+    assert fields["warm_fallbacks"] == "0"
 
 
 def test_cli_decode_channel(capsys):
