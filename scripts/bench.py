@@ -57,7 +57,7 @@ DECODERS = ("lp", "adaptive_lp", "cutting_plane", "min_sum")
 LP_MAX_N = 240
 FULL_FRAMES = {60: 20, 120: 20, 240: 10, 1000: 5, "spc:3,3,3": 20}
 QUICK_FRAMES = {60: 5, 120: 5, "spc:3,3,3": 5}
-SEARCH = dict(n=48, sigma=0.75, frames=20, quick_frames=5)
+SEARCH = dict(n=48, sigma=0.75, frames=20, quick_frames=8)
 
 
 def frames_for(code, sigma, seed, count):

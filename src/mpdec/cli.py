@@ -124,7 +124,7 @@ def parse_sim_config_text(text: str) -> SimConfig:
                 raise ValueError(f"unknown decoder option {name!r}")
             current = getattr(DecoderConfig(), name)
             if isinstance(current, tuple):
-                dc_kwargs[name] = tuple(value.split(","))
+                dc_kwargs[name] = tuple(t.strip() for t in value.split(","))
             elif isinstance(current, (int, float)) or fields[name] == "int | None":
                 dc_kwargs[name] = _config_number(
                     key, value, float if isinstance(current, float) else int)

@@ -15,6 +15,8 @@ import numpy as np
 
 from .simplex import COST_TOL
 
+_TABLE_DIM = 16  # basis words summed into `LinearCode.codeword_table`
+
 
 def pack_bits(bits) -> int:
     """Pack an iterable of 0/1 values into an int bitset (LSB = index 0)."""
@@ -92,9 +94,6 @@ class BinaryMatrix:
         return np.array([[(r >> j) & 1 for j in range(self.n)] for r in self.rows],
                         dtype=np.uint8)
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     @cached_property
     def layout(self) -> CheckLayout:
         """The check-major layout, built on first use."""
@@ -165,20 +164,10 @@ class LinearCode:
     """Binary linear code given by a parity-check matrix.
 
     The dimension is n - rank(H); redundant rows are allowed (m may exceed
-    n - k).  A generator matrix can be supplied or is derived on demand.
+    n - k).  A basis of the code is derived from H on demand.
     """
 
     H: BinaryMatrix
-    G: BinaryMatrix | None = None
-
-    def __post_init__(self):
-        if self.G is not None:
-            if self.G.n != self.H.n:
-                raise ValueError("G and H disagree on block length")
-            for g in self.G.rows:
-                for h in self.H.rows:
-                    if (g & h).bit_count() & 1:
-                        raise ValueError("G is not orthogonal to H")
 
     @property
     def n(self) -> int:
@@ -195,9 +184,6 @@ class LinearCode:
     @cached_property
     def generator_rows(self) -> tuple[int, ...]:
         """A basis of the code as packed words (from the nullspace of H)."""
-        if self.G is not None:
-            red, piv = rref(self.G)
-            return tuple(r for r in red.rows if r)
         red, pivots = rref(self.H)
         pivot_of_col = {c: i for i, c in enumerate(pivots)}
         free = [j for j in range(self.n) if j not in pivot_of_col]
@@ -216,9 +202,11 @@ class LinearCode:
 
     @cached_property
     def codeword_table(self) -> np.ndarray:
-        """All codewords as read-only float rows: `ml_bruteforce`'s table
-        for k <= 16, built on first use."""
-        table = enumerate_codewords(self).astype(np.float64)
+        """The sums of the first min(k, 16) basis words as read-only float
+        0/1 rows, built on first use: every codeword for k <= 16, in the
+        dtype of `ml_bruteforce`'s product, and the block that every
+        enumeration XORs with the sums of the rest."""
+        table = _span(self.generator_rows[:_TABLE_DIM], self.n).astype(np.float64)
         table.setflags(write=False)
         return table
 
@@ -282,39 +270,49 @@ def girth(graph: TannerGraph) -> float:
     return best
 
 
-def enumerate_codewords(code: LinearCode) -> np.ndarray:
-    """All 2^k codewords as a (2^k, n) uint8 array (k <= 24 guard)."""
-    k = code.k
-    if k > 24:
-        raise ValueError(f"dimension {k} too large to enumerate")
-    gens = code.generator_rows
-    if not gens:
-        return np.zeros((1, code.n), dtype=np.uint8)
-    g = np.array([unpack_bits(w, code.n) for w in gens], dtype=np.uint8)
-    masks = ((np.arange(1 << k, dtype=np.uint32)[:, None] >> np.arange(k)) & 1)
+def _span(words, n: int) -> np.ndarray:
+    """Every GF(2) sum of the packed words as a (2^t, n) uint8 array; row i
+    sums the words at the set bits of i."""
+    g = np.array([unpack_bits(w, n) for w in words], dtype=np.uint8).reshape(-1, n)
+    masks = (np.arange(1 << len(g), dtype=np.uint32)[:, None] >> np.arange(len(g))) & 1
     return (masks.astype(np.uint8) @ g) % 2
 
 
+def _codeword_blocks(code: LinearCode):
+    """Every codeword once, as uint8 blocks of at most 2^16 rows: the
+    codeword table XOR each sum of the basis words past the 16th, so row
+    r of block b is row 2^16 b + r of `enumerate_codewords` (k <= 24 guard)."""
+    if code.k > 24:
+        raise ValueError(f"dimension {code.k} too large to enumerate")
+    table = code.codeword_table.astype(np.uint8)
+    for high in _span(code.generator_rows[_TABLE_DIM:], code.n):
+        yield table ^ high
+
+
+def enumerate_codewords(code: LinearCode) -> np.ndarray:
+    """All 2^k codewords as a (2^k, n) uint8 array, row i summing the basis
+    words at the set bits of i (k <= 24 guard)."""
+    return np.concatenate(list(_codeword_blocks(code)))
+
+
 def min_distance_bruteforce(code: LinearCode) -> int:
-    """Minimum Hamming weight over nonzero codewords, by Gray-code walk."""
-    gens = code.generator_rows
-    k = len(gens)
-    if k == 0:
+    """Minimum Hamming weight over nonzero codewords."""
+    if code.k == 0:
         raise ValueError("code has no nonzero codeword; distance undefined")
-    if k > 24:
-        raise ValueError(f"dimension {k} too large to enumerate")
-    word = 0
-    best = code.n + 1
-    for i in range(1, 1 << k):
-        word ^= gens[(i & -i).bit_length() - 1]
-        w = word.bit_count()
-        if w < best:
-            best = w
-    return best
+    weights = (b.sum(axis=1) for b in _codeword_blocks(code))
+    return min(int(w[w > 0].min()) for w in weights)
 
 
-def _lex_key(word: int, n: int) -> tuple:
-    return tuple((word >> j) & 1 for j in range(n))
+def least_cost_word(words: np.ndarray, costs: np.ndarray,
+                    low: float | None = None) -> tuple[np.ndarray, float]:
+    """The brute-force oracles' tie rule: rows whose costs lie within
+    COST_TOL of `low` (the least cost by default) tie, and the
+    lexicographically smallest wins.  Returns a copy of that row and its
+    cost; some row must cost at most `low` + COST_TOL."""
+    tied = np.flatnonzero(costs <= (costs.min() if low is None else low) + COST_TOL)
+    # 0/1 rows, uint8 or float, compare lexicographically as their bytes do
+    i = min(tied, key=lambda row: words[row].tobytes())
+    return words[i].copy(), float(costs[i])
 
 
 def ml_bruteforce(code: LinearCode, llr) -> tuple[np.ndarray, float]:
@@ -327,36 +325,16 @@ def ml_bruteforce(code: LinearCode, llr) -> tuple[np.ndarray, float]:
     llr = np.asarray(llr, dtype=float)
     if llr.shape != (code.n,):
         raise ValueError("llr length mismatch")
-    if code.k > 24:
-        raise ValueError(f"dimension {code.k} too large to enumerate")
-    if code.k <= 16:
-        cw = code.codeword_table
-        vals = cw @ llr
-        best = np.flatnonzero(vals <= vals.min() + COST_TOL)
-        i = min(best, key=lambda b: tuple(cw[b]))
-        return cw[i].copy(), float(vals[i])
-    low = min(val for _, val in _gray_values(code, llr))
-    best_word, best_val = min(((w, v) for w, v in _gray_values(code, llr)
-                               if v <= low + COST_TOL),
-                              key=lambda wv: _lex_key(wv[0], code.n))
-    return unpack_bits(best_word, code.n), float(best_val)
-
-
-def _gray_values(code: LinearCode, llr: np.ndarray):
-    """Every codeword as (word, llr . word), in Gray-code order from the
-    zero word, each value updated from the last."""
-    gens = code.generator_rows
-    word = 0
-    val = 0.0
-    yield word, val
-    for i in range(1, 1 << len(gens)):
-        g = gens[(i & -i).bit_length() - 1]
-        sign = word & g
-        word ^= g
-        # incremental objective: bits newly set add, bits cleared subtract
-        for j in set_bits(g):
-            val += -llr[j] if (sign >> j) & 1 else llr[j]
-        yield word, val
+    if code.k <= _TABLE_DIM:
+        table = code.codeword_table
+        return least_cost_word(table, table @ llr)
+    # the second pass takes the product of only the blocks holding a tie
+    lows = [float((b @ llr).min()) for b in _codeword_blocks(code)]
+    low = min(lows)
+    words, costs = zip(*(least_cost_word(b, b @ llr, low)
+                         for b, b_low in zip(_codeword_blocks(code), lows)
+                         if b_low <= low + COST_TOL))
+    return least_cost_word(np.array(words), np.array(costs), low)
 
 
 def random_regular_ldpc(n: int, d_v: int, d_c: int, seed: int) -> LinearCode:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decoders import DecodeResult, DecodeStats, DecodeStatus, _solver_error
-from .simplex import (COST_TOL, LpProblem, LpRow, LpSolverError, is_integral,
-                      make_problem, solve)
+from .gf2 import least_cost_word
+from .simplex import LpProblem, LpRow, LpSolverError, is_integral, make_problem, solve
 
 
 @dataclass(frozen=True)
@@ -230,26 +230,23 @@ def encode_turbo(spec: TurboSpec, u) -> np.ndarray | None:
 def turbo_ml_bruteforce(spec: TurboSpec, llr) -> tuple[np.ndarray, float]:
     """Exact turbo ML by enumerating the 2^k information words (k <= 20).
 
-    Codewords whose costs lie within COST_TOL of the least cost tie, and the
-    lexicographically smallest of them wins, as in `ml_bruteforce`.
+    The terminating words' codewords go through `ml_bruteforce`'s tie rule
+    (`gf2.least_cost_word`), each cost its own llr . x.
     """
     if spec.k > 20:
         raise ValueError("k too large to enumerate")
     llr = np.asarray(llr, dtype=float)
-    low, tied = math.inf, []
+    words = np.empty((1 << spec.k, 3 * spec.k), dtype=np.uint8)
+    costs = np.empty(1 << spec.k)
+    count = 0
     for word in range(1 << spec.k):
         x = encode_turbo(spec, [(word >> j) & 1 for j in range(spec.k)])
-        if x is None:
-            continue
-        val = float(llr @ x)
-        if val < low:
-            low = val
-            tied = [(y, v) for y, v in tied if v <= low + COST_TOL]
-        if val <= low + COST_TOL:
-            tied.append((x, val))
-    if not tied:
+        if x is not None:
+            words[count], costs[count] = x, llr @ x
+            count += 1
+    if not count:
         raise ValueError("no terminating information word")
-    return min(tied, key=lambda c: tuple(c[0]))
+    return least_cost_word(words[:count], costs[:count])
 
 
 def _flow_rows(trellis: Trellis, col_of_edge) -> list[LpRow]:

@@ -1,5 +1,6 @@
 """GF(2) core: elimination, oracles, constructors, alist round trips."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from mpdec.gf2 import (BinaryMatrix, LinearCode, TannerGraph,
                        random_regular_ldpc, rank, rref, save_alist,
                        set_bits, spc_product_code, syndrome, unpack_bits)
 
-from conftest import H84_ARRAY, random_sparse_code
+from conftest import H84_ARRAY, HAMMING_ARRAY, random_sparse_code
 
 
 binary_matrices = st.integers(1, 6).flatmap(
@@ -364,9 +365,9 @@ def test_alist_error_messages(text, message):
 
 @pytest.mark.parametrize("n", [17, 18])
 def test_ml_bruteforce_ties_within_cost_tol(n):
-    # n=17 enumerates through the codeword table (k=16), n=18 through the
-    # Gray-code walk (k=17); both count a word within COST_TOL of the
-    # minimum as tied, so the lexicographically smaller zero word wins
+    # n=17 enumerates one block, the codeword table (k=16), n=18 two blocks
+    # (k=17); both count a word within COST_TOL of the minimum as tied, so
+    # the lexicographically smaller zero word wins
     code = LinearCode(BinaryMatrix(n, ((1 << n) - 1,)))
     lam = np.ones(n)
     lam[0], lam[1] = -1.0, 1.0 - 3e-10
@@ -376,3 +377,67 @@ def test_ml_bruteforce_ties_within_cost_tol(n):
     cw, val = ml_bruteforce(code, lam)
     assert cw.tolist() == [1, 1] + [0] * (n - 2)
     assert val == pytest.approx(-3e-9, abs=1e-15)
+
+
+# The brute-force oracles' output, pinned as the sha256 of its repr on seeded
+# LLRs: codewords on every call, values to the bit for k <= 16 (one block of
+# the codeword table); k = 17 and 19 take several blocks.
+_ML_DIGEST = "1a88fa58fc0b1bf0d51a79aef0e9a839b30bd8d9000f976ffe2a53c3cf47ce50"
+_ENUM_DIGEST = "ac29e1bd10a0ef94b9470dcf9e9f9ba4da232faf125354440b212f2ea351daff"
+_DIST_DIGEST = "f466931aae5af13296e075701ddf5e40f20daecc660ea43b75614bc2212bbaf3"
+
+
+def _pinned_codes():
+    return [LinearCode(BinaryMatrix.from_array(np.eye(3, dtype=int))),  # k = 0
+            LinearCode(BinaryMatrix.from_array(HAMMING_ARRAY)),  # k = 4
+            spc_product_code((3, 3)),  # k = 4
+            random_regular_ldpc(20, 3, 4, 4),  # k = 5
+            random_regular_ldpc(32, 3, 4, 7),  # k = 8
+            random_regular_ldpc(24, 3, 6, 1),  # k = 12
+            LinearCode(BinaryMatrix(18, ((1 << 18) - 1,))),  # k = 17
+            LinearCode(BinaryMatrix(21, (0b111, 0b11100)))]  # k = 19
+
+
+def _pinned_llrs(rng, n, trials):
+    for _ in range(trials):
+        yield rng.standard_normal(n)
+        yield rng.choice([-1.0, 1.0], size=n)
+        yield np.round(rng.normal(0.0, 1.5, n))
+
+
+def _digest(parts):
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def test_bruteforce_oracles_are_pinned():
+    rng = np.random.default_rng(13)
+    ml, enum, dist = [], [], []
+    for code in _pinned_codes():
+        for lam in _pinned_llrs(rng, code.n, 10 if code.k <= 16 else 2):
+            cw, val = ml_bruteforce(code, lam)
+            assert abs(val - float(lam @ cw)) <= 1e-9
+            ml.append((code.k, np.asarray(cw, dtype=np.uint8).tolist(),
+                       val.hex() if code.k <= 16 else None))
+        if code.k <= 16:
+            words = enumerate_codewords(code)
+            enum.append((words.dtype.str, words.shape, words.tolist()))
+        dist.append(min_distance_bruteforce(code) if code.k else None)
+    assert [k for k, _, _ in ml[::3]] == ([0] * 10 + [4] * 20 + [5] * 10 + [8] * 10
+                                          + [12] * 10 + [17] * 2 + [19] * 2)
+    assert _digest(ml) == _ML_DIGEST
+    assert _digest(enum) == _ENUM_DIGEST
+    assert _digest(dist) == _DIST_DIGEST
+
+
+def test_oracles_guard_dimension_24():
+    code = LinearCode(BinaryMatrix(26, ((1 << 26) - 1,)))  # k = 25
+    for oracle in (enumerate_codewords, min_distance_bruteforce,
+                   lambda c: ml_bruteforce(c, np.ones(26))):
+        with pytest.raises(ValueError, match="^dimension 25 too large to enumerate$"):
+            oracle(code)
+
+
+def test_linear_code_takes_no_generator_matrix():
+    h = BinaryMatrix(3, (0b111,))
+    with pytest.raises(TypeError):
+        LinearCode(h, G=BinaryMatrix(3, (0b110,)))

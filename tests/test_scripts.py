@@ -35,7 +35,8 @@ def test_script_runs(script, tmp_path):
         assert {"lp@60", "lp@120", "lp@spc:3,3,3", "branch_and_bound@48"} <= set(runs)
         assert all("branch_nodes_per_frame" in run for run in runs.values())
         search = runs["branch_and_bound@48"]
-        assert search["decoder"] == "branch_and_bound" and search["frames"] == 5
+        assert search["decoder"] == "branch_and_bound" and search["frames"] == 8
+        assert search["branch_nodes_per_frame"] > 0  # frame t = 7 branches
 
 
 def test_python_dash_m_mpdec(tmp_path):

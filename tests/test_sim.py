@@ -335,6 +335,14 @@ def test_parse_sim_config_rejects_unknown_names_up_front():
             DecoderConfig(**kwargs)
 
 
+def test_parse_sim_config_strips_searcher_names():
+    # `decoders =` stripped its items while `decoder.searchers =` did not, so
+    # a space after the comma was rejected as the searcher ' cycle'
+    cfg = parse_sim_config_text("code = spc:3,3\npoints = 0.1\ndecoders = lp\n"
+                                "decoder.searchers = adaptation, cycle\n")
+    assert cfg.decoder_config.searchers == ("adaptation", "cycle")
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["decode", "--code", "random:32,3,4", "--llr", "1"], "random:n,dv,dc,seed"),
     (["decode", "--code", "spc:3,x", "--llr", "1"], "spc:d1,d2"),

@@ -354,3 +354,23 @@ def test_lagrangian_output_is_pinned():
             out.append((lb.hex(), None if cw is None else (cw.dtype.str, cw.tolist())))
     assert any(cw is not None for _, cw in out)
     assert _digest(out) == _LAGRANGIAN_DIGEST
+
+
+# `turbo_ml_bruteforce`'s codewords on seeded accumulator and four-state specs.
+_TURBO_ML_DIGEST = "9995e89d306c87d3f9b47ebb3a1aef57e27a231b8200f753f559edf9fc508607"
+
+
+def test_turbo_oracle_is_pinned():
+    rng = np.random.default_rng(41)
+    out = []
+    for fsm in (accumulator_fsm(), four_state_fsm()):
+        for k in (3, 6, 10):
+            for _ in range(4):
+                spec = make_spec(rng, k, fsm)
+                for lam in (rng.standard_normal(3 * k), rng.choice([-1.0, 1.0], 3 * k),
+                            np.round(rng.normal(0.0, 1.5, 3 * k))):
+                    x, v = turbo_ml_bruteforce(spec, lam)
+                    assert abs(v - float(lam @ x)) <= 1e-9
+                    out.append((k, np.asarray(x, dtype=np.uint8).tolist()))
+    assert len(out) == 72
+    assert _digest(out) == _TURBO_ML_DIGEST
