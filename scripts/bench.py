@@ -5,7 +5,9 @@ Writes one JSON record (default `BENCH_scaling.json` at the repo root) with
 the machine, the Python and numpy versions, the `trial_rng` seeds and, per
 run, ms/frame (the median frame) and ms/pivot (the whole decode time over
 the pivots), each the median of three timed repeats (one with `--quick`),
-and the mean pivots, iterations, final LP rows and branch nodes a frame.
+the mean pivots, iterations, final LP rows and branch nodes a frame, and
+`answers`: a sha256 over every frame's status, value and point in the first
+repeat, so two records show whether a change moved any answer.
 Adaptive LP's row fraction is `final_lp_rows / n`. The runs are:
 
 - `scratch_n120`: one from-scratch solve of the full forbidden-set LP
@@ -30,6 +32,7 @@ Example:
 """
 
 import argparse
+import hashlib
 import json
 import statistics
 import sys
@@ -66,16 +69,26 @@ def frames_for(code, sigma, seed, count):
     return [llr(transmit(zero, channel, trial_rng(seed, 0, t)), channel) for t in range(count)]
 
 
+def answer(res) -> bytes:
+    """A decode's status, value and point, as bytes to hash."""
+    point = None if res.point is None else np.asarray(res.point)
+    return repr((res.status.value, float(res.value).hex(),
+                 None if point is None else (point.dtype.str, point.tobytes().hex()))).encode()
+
+
 def run(name, code, frames, repeats):
     """Median over repeats of ms/frame (median over frames) and ms/pivot."""
     decode = make_decoder(name)
     ms_frame, ms_pivot = [], []
-    for _ in range(repeats):
+    answers = hashlib.sha256()
+    for repeat in range(repeats):
         times, pivots, iterations, rows, nodes = [], [], [], [], []
         for lam in frames:
             start = time.perf_counter()
             res = decode(code, lam)
             times.append(1000.0 * (time.perf_counter() - start))
+            if repeat == 0:
+                answers.update(answer(res))
             pivots.append(res.stats.pivots)
             iterations.append(res.stats.iterations)
             rows.append(res.stats.final_rows)
@@ -89,7 +102,8 @@ def run(name, code, frames, repeats):
                 ms_per_pivot=statistics.median(ms_pivot) if ms_pivot else None,
                 iterations_per_frame=float(np.mean(iterations)),
                 final_lp_rows=float(np.mean(rows)),
-                branch_nodes_per_frame=float(np.mean(nodes)))
+                branch_nodes_per_frame=float(np.mean(nodes)),
+                answers=answers.hexdigest())
 
 
 def report(r):

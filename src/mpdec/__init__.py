@@ -21,8 +21,8 @@ from .gf2 import (BinaryMatrix, LinearCode, TannerGraph, enumerate_codewords,
                   spc_product_code, syndrome)
 from .sim import (SimConfig, SimRecord, fer_confidence, simulate,
                   simulate_to_csv)
-from .simplex import (FEAS_TOL, INTEGRALITY_TOL, LeRows, LpProblem, LpRow, LpSolution,
-                      LpSolverError, LpStatus, add_rows_resolve, dump_lp,
+from .simplex import (FEAS_TOL, INTEGRALITY_TOL, LpProblem, LpRow, LpSolution,
+                      LpSolverError, LpStatus, Rows, add_rows_resolve, dump_lp,
                       fix_variable_resolve, is_integral, make_problem, solve)
 from .trellis import (FsmSpec, Trellis, TurboSpec, accumulator_fsm,
                       build_trellis, build_turbo_lp, encode_turbo,

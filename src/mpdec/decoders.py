@@ -118,9 +118,15 @@ class DecoderConfig:
                 raise ValueError(f"{name} must be one of {FORMULATIONS}, "
                                  f"got {getattr(self, name)!r}")
         for s in self.searchers:
-            if not callable(s) and s not in _SEARCHERS:
-                raise ValueError(f"searchers must name searchers from "
-                                 f"{tuple(_SEARCHERS)} or be callables, got {s!r}")
+            _searcher(s)
+
+
+def _finite(llr) -> np.ndarray:
+    """The LLRs as floats; ValueError unless every one is finite."""
+    llr = np.asarray(llr, dtype=float)
+    if not np.isfinite(llr).all():
+        raise ValueError("LLRs must be finite")
+    return llr
 
 
 def _certified(code: LinearCode, x) -> bool:
@@ -146,8 +152,9 @@ def _separate_until_clean(sol: LpSolution, stats: DecodeStats, code: LinearCode,
     added, after `max_rounds` re-solves, or when one is not optimal.
 
     Cuts from the separation arrays (`FsCuts`, which `row_fs_cuts` and the
-    built-in searchers return) reach `add_rows_resolve` as one dense `<=`
-    block; other cut lists as their `as_lp_row`s."""
+    built-in searchers return) reach `add_rows_resolve` as one `Rows` block
+    made from those arrays; other cut lists as their `as_lp_row`s, which it
+    parses."""
     start = stats.iterations
     while sol.optimal and stats.iterations - start < max_rounds:
         x = sol.x[:code.n]
@@ -252,7 +259,7 @@ def _search_from_root(code: LinearCode, llr, formulation: str | None,
     Solver trouble anywhere gives SOLVER_ERROR.
     """
     t0 = time.perf_counter()
-    llr = np.asarray(llr, dtype=float)
+    llr = _finite(llr)
     stats = DecodeStats()
     incumbent = _Incumbent(code, llr)
     try:
@@ -319,6 +326,16 @@ _SEARCHERS = {
 }
 
 
+def _searcher(s):
+    """A searcher given by name or as a callable; ValueError for any other."""
+    if callable(s):
+        return s
+    if s not in _SEARCHERS:
+        raise ValueError(f"searchers must name searchers from "
+                         f"{tuple(_SEARCHERS)} or be callables, got {s!r}")
+    return _SEARCHERS[s]
+
+
 def cutting_plane_decode(code: LinearCode, llr, searchers=("adaptation",),
                          base: str = "parity_relax", max_rounds: int = 100,
                          rng_seed: int = 0) -> DecodeResult:
@@ -328,7 +345,7 @@ def cutting_plane_decode(code: LinearCode, llr, searchers=("adaptation",),
     [FsInequality].  All cuts are valid for the codeword polytope, so an
     integral codeword optimum is the ML word.
     """
-    chain = [_SEARCHERS[s] if isinstance(s, str) else s for s in searchers]
+    chain = [_searcher(s) for s in searchers]
     return _search_from_root(code, llr, base, separate=partial(
         _separate_until_clean, code=code, max_rounds=max_rounds, searchers=chain,
         seed=rng_seed))
@@ -337,21 +354,24 @@ def cutting_plane_decode(code: LinearCode, llr, searchers=("adaptation",),
 def fractional_distance(code: LinearCode, formulation: str = "fs") -> float:
     """Minimum weight of a nonzero vertex of the relaxation polytope.
 
-    Minimizes the bit-sum over every face that excludes the origin (rows
-    with nonzero right-hand side, plus the upper box faces); the smallest
-    optimum over those faces is the fractional distance.  With the
-    cascade formulation only full-support degree-3 rows are used.
+    Minimizes the bit-sum over every face that excludes the origin (the
+    forbidden-set rows with nonzero right-hand side, plus the upper box
+    faces); the smallest optimum over those faces is the fractional
+    distance.  With the cascade formulation only full-support degree-3 rows
+    are used.  Only "fs" and "cascade" tag those rows, so other formulations
+    raise ValueError.
     """
+    if formulation not in ("fs", "cascade"):
+        raise ValueError(f"fractional_distance needs the fs or cascade formulation, "
+                         f"got {formulation!r}")
     form, base = _root(code, np.ones(code.n), formulation, DecodeStats())
     best = math.inf
-    for row, tag in zip(form.lp.rows, form.row_tags):
-        if tag[0] != "fs" or row.rhs <= 0:
-            continue
-        if formulation == "cascade" and (len(tag[2]) != 3 or len(tag[3]) != 3):
-            continue
-        faced = add_rows_resolve(base, [(row.coeffs, ">=", row.rhs)])
-        if faced.optimal:
-            best = min(best, faced.value)
+    for i, tag in enumerate(form.row_tags):
+        # the row ("fs", check, N, S) has right-hand side |S| - 1, S odd
+        if tag[0] == "fs" and len(tag[3]) > 1 and (formulation == "fs" or len(tag[2]) == 3):
+            faced = add_rows_resolve(base, form.lp.rows.face(i))
+            if faced.optimal:
+                best = min(best, faced.value)
     if formulation != "cascade":
         for j in range(code.n):
             faced = fix_variable_resolve(base, j, 1.0)
@@ -376,8 +396,9 @@ def facet_guessing_decode(code: LinearCode, llr, num_faces: int | None = None,
     def search(form, root, incumbent, stats):
         x = root.x[:code.n]
         active = set(root.active_rows)
-        faces = [([(row.coeffs, ">=", row.rhs)], None)
-                 for ri, row in enumerate(form.lp.rows) if ri not in active]
+        rows = form.lp.rows
+        # (row, None) is a row's face, (None, (j, v)) pins bit j to v
+        faces = [(i, None) for i in range(len(rows)) if i not in active]
         for j in range(code.n):
             if x[j] > FEAS_TOL:
                 faces.append((None, (j, 0.0)))
@@ -387,8 +408,8 @@ def facet_guessing_decode(code: LinearCode, llr, num_faces: int | None = None,
             rng = np.random.default_rng(rng_seed)
             idx = rng.choice(len(faces), size=num_faces, replace=False)
             faces = [faces[int(i)] for i in sorted(idx)]
-        for rows, pin in faces:
-            cand = stats.tally(add_rows_resolve(root, rows) if pin is None
+        for i, pin in faces:
+            cand = stats.tally(add_rows_resolve(root, rows.face(i)) if pin is None
                                else fix_variable_resolve(root, *pin))
             if cand.optimal:
                 incumbent.offer(cand)
@@ -593,7 +614,7 @@ def _message_passing(code: LinearCode, llr, max_iterations: int,
     iteration, bit-identical to applying each check's rule in turn.  Padding
     carries c2v = 0 into the dummy column n: an edgeless check sends nothing."""
     t0 = time.perf_counter()
-    llr = np.asarray(llr, dtype=float)
+    llr = _finite(llr)
     n = code.n
     stats = DecodeStats()
     cols, mask = code.H.layout.cols, code.H.layout.mask

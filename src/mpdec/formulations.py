@@ -18,7 +18,7 @@ import numpy as np
 
 from .gf2 import (BinaryMatrix, LinearCode, _gauss_jordan, padded_supports,
                   set_bits)
-from .simplex import LeRows, LpProblem, LpRow, make_problem
+from .simplex import LpProblem, LpRow, Rows, make_problem
 
 MAX_CHECK_DEGREE = 25
 FRAC_TOL = 1e-6
@@ -69,8 +69,8 @@ class FsCuts(Sequence):
     its odd subset.
 
     Items are FsInequality, made when first read.  `lp_rows` gives the same
-    cuts as one dense `<=` block for `add_rows_resolve`, with no FsInequality
-    or LpRow made.  It compares equal to a list of the same cuts.
+    cuts as one `Rows` block for `add_rows_resolve`, with no FsInequality or
+    LpRow made.  It compares equal to a list of the same cuts.
     """
 
     def __init__(self, cols, mask, odd, checks=None):
@@ -100,13 +100,13 @@ class FsCuts(Sequence):
                     repeat(None) if self._checks is None else self._checks)]
         return self._items
 
-    def lp_rows(self, num_vars: int) -> LeRows:
+    def lp_rows(self, num_vars: int) -> Rows:
         """The cuts as rows sum_S x - sum_{N\\S} x <= |S| - 1 over num_vars
-        LP columns: the coefficients, rhs and order of their `as_lp_row`s."""
+        LP columns: the block `Rows.parse` makes of their `as_lp_row`s."""
         r, t = self._mask.nonzero()
         a = np.zeros((len(self), num_vars))
         a[r, self._cols[r, t]] = np.where(self._odd[r, t], 1.0, -1.0)
-        return LeRows(a, self._odd.sum(axis=1) - 1.0)
+        return Rows(a, np.full(len(self), -np.inf), self._odd.sum(axis=1) - 1.0)
 
 
 def _subsets(support, parity: int) -> list[tuple[int, ...]]:
@@ -141,12 +141,12 @@ class Formulation:
 class _Rows:
     """A formulation as its builder emits it: columns 0..n-1 are the code
     bits, `columns` hands out auxiliary ones after them, and every row is
-    kept with its tag."""
+    kept with its tag as a (coeffs, sense, rhs) tuple for `make_problem`."""
 
     def __init__(self, n: int):
         self.n = n
         self.upper = [1.0] * n
-        self.rows: list[LpRow] = []
+        self.rows: list[tuple] = []
         self.tags: list[tuple] = []
 
     def columns(self, count: int, upper: float = 1.0) -> range:
@@ -155,14 +155,13 @@ class _Rows:
         return range(len(self.upper) - count, len(self.upper))
 
     def add(self, tag: tuple, coeffs, sense: str, rhs: float):
-        self.rows.append(LpRow(tuple(coeffs), sense, rhs))
+        self.rows.append((tuple(coeffs), sense, rhs))
         self.tags.append(tag)
 
     def forbidden_sets(self, check: int, support):
         """Every forbidden-set inequality of one support."""
         for ineq in fs_inequalities(support):
-            self.rows.append(ineq.as_lp_row())
-            self.tags.append(("fs", check, ineq.support, ineq.odd_subset))
+            self.add(("fs", check, ineq.support, ineq.odd_subset), *ineq.as_lp_row())
 
     def even_configs(self, check: int, support, cols, tags: tuple[str, str]):
         """One indicator column per even-size subset of the support, a row

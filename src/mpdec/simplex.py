@@ -7,9 +7,11 @@ form is [A | -I] [x; r] = 0 with r the row activities.  Only the structural
 block A is stored: logical column n + i is -e_i, so its reduced cost is the
 row's dual value y_i.
 
-An LpProblem validates its rows and builds the engine's arrays once, when it
-is made; `LpProblem.with_objective` shares them with another objective, so a
-row block kept per code costs no per-row work per frame.
+An LpProblem keeps its rows once, as one `Rows` block, which LpRows and
+plain tuples are parsed into where they enter (`make_problem`,
+`add_rows_resolve`).  The engine's arrays over it are built once, when the
+problem is made; `LpProblem.with_objective` shares both with another
+objective, so a row block kept per code costs no per-row work per frame.
 
 The basis inverse is never stored whole.  With S the k basic structural
 columns, T the k rows whose logicals are nonbasic and L the other rows,
@@ -39,9 +41,8 @@ their other bound and running the dual simplex again.
 Solver states are reusable: `add_rows_resolve` and `fix_variable_resolve`
 clone the state and re-solve with the dual simplex from the old basis,
 falling back to a scratch solve when that basis is not dual feasible or
-runs into trouble.  Rows come in as LpRows, parsed to dense arrays, or as
-one dense `LeRows` block, which is taken as it is; both get their logical
-bounds from the same tightening.  A pin may only narrow a variable's
+runs into trouble.  Added rows get their logical bounds from the same
+tightening as a problem's own.  A pin may only narrow a variable's
 bounds.  Every verdict, optimal and infeasible, is confirmed on a fresh
 factorization.  An LpSolution counts the pivots and refactors of the solve
 that produced it and flags that fallback.
@@ -84,39 +85,72 @@ class LpSolverError(RuntimeError):
     """Numerical failure after anti-cycling and refactorization fallbacks."""
 
 
-@dataclass(frozen=True)
-class LpRow:
-    """Sparse row: coefficient list, sense in {<=, =, >=}, right-hand side."""
+class LpRow(NamedTuple):
+    """Sparse row: (column, coefficient) pairs, sense in {<=, =, >=} and the
+    right-hand side; a plain (coeffs, sense, rhs) tuple reads the same."""
 
     coeffs: tuple[tuple[int, float], ...]
     sense: str
     rhs: float
 
-    def __post_init__(self):
-        if self.sense not in ("<=", "=", ">="):
-            raise ValueError(f"bad sense {self.sense!r}")
-        idx = [j for j, _ in self.coeffs]
-        if len(idx) != len(set(idx)):
-            raise ValueError("duplicate column index in row")
 
+class Rows:
+    """Rows lo <= a x <= hi as one dense block: a is (m, n), lo and hi are
+    (m,), with -inf or inf on an open side; len() is m."""
 
-@dataclass(frozen=True, eq=False)
-class LeRows:
-    """Rows a x <= rhs as one dense block: a is (k, n), rhs is (k,), both
-    float.  `add_rows_resolve` takes it as it is, with no per-row parsing;
-    len() is the number of rows."""
-
-    a: np.ndarray
-    rhs: np.ndarray
+    def __init__(self, a: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        self.a, self.lo, self.hi = a, lo, hi
 
     def __len__(self) -> int:
-        return len(self.rhs)
+        return len(self.lo)
+
+    def __eq__(self, other):
+        return isinstance(other, Rows) and all(map(
+            np.array_equal, (self.a, self.lo, self.hi), (other.a, other.lo, other.hi)))
+
+    def face(self, i: int) -> "Rows":
+        """Row i as the one-row block a_i x >= hi_i, the face of a <= row."""
+        return Rows(self.a[i:i + 1], self.hi[i:i + 1], np.full(1, math.inf))
+
+    @classmethod
+    def parse(cls, rows, n: int) -> "Rows":
+        """rows over n columns: a Rows as it is, once its shape is checked, or
+        LpRows and plain tuples; ValueError for a sense not in {<=, =, >=},
+        a column outside 0..n-1 or one given twice in a row."""
+        if isinstance(rows, Rows):
+            if rows.a.shape != (len(rows), n):
+                raise ValueError(f"expected a ({len(rows)}, {n}) block, got {rows.a.shape}")
+            return rows
+        rows = tuple(rows)
+        if not rows:  # the box LP, made once per frame: skip the parse
+            empty = np.zeros(0)
+            return cls(np.zeros((0, n)), empty, empty)
+        senses = np.array([r[1] for r in rows], dtype=str)
+        if not np.isin(senses, ("<=", "=", ">=")).all():
+            raise ValueError(f"bad sense among {sorted(set(senses.tolist()))}")
+        cols = np.fromiter((j for r in rows for j, _ in r[0]), np.intp)
+        if ((cols < 0) | (cols >= n)).any():
+            raise ValueError(f"column index out of range 0..{n - 1}")
+        row_of = np.repeat(np.arange(len(rows)), [len(r[0]) for r in rows])
+        key = np.sort(row_of * n + cols)
+        if (key[1:] == key[:-1]).any():
+            raise ValueError("duplicate column index in row")
+        a = np.zeros((len(rows), n))
+        a[row_of, cols] = np.fromiter((v for r in rows for _, v in r[0]), float, len(cols))
+        rhs = np.fromiter((r[2] for r in rows), float, len(rows))
+        return cls(a, np.where(senses == "<=", -math.inf, rhs),
+                   np.where(senses == ">=", math.inf, rhs))
+
+
+def _rhs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each row's right-hand side: hi where lo is open, else lo."""
+    return np.where(lo == -math.inf, hi, lo)
 
 
 class RowBlock(NamedTuple):
     """The engine's arrays for a problem's rows over its box; all read-only."""
 
-    a: np.ndarray        # (m, n) structural coefficients
+    a: np.ndarray        # (m, n) structural coefficients, the rows' own
     rhs: np.ndarray      # (m,)
     row_lo: np.ndarray   # (m,) logical bounds: the sense bounds tightened
     row_hi: np.ndarray   # to each row's activity range over the box
@@ -124,27 +158,6 @@ class RowBlock(NamedTuple):
     upper: np.ndarray
     bad_bounds: bool     # some row cannot be met inside the box
     singles: np.ndarray  # (n,) the row of each column with one nonzero, else -1
-
-
-def _parse_rows(rows: tuple[LpRow, ...], n: int):
-    """Dense coefficients, rhs and sense bounds of LpRows over n columns.
-
-    Returns (a, rhs, sense_lo, sense_hi); raises ValueError for a column
-    index out of range.
-    """
-    m = len(rows)
-    a = np.zeros((m, n))
-    jj = np.fromiter((j for row in rows for j, _ in row.coeffs), np.intp)
-    if len(jj):
-        out = jj[(jj < 0) | (jj >= n)]
-        if len(out):
-            raise ValueError(f"row index {out[0]} out of range")
-        ii = np.repeat(np.arange(m), [len(row.coeffs) for row in rows])
-        a[ii, jj] = np.fromiter((v for row in rows for _, v in row.coeffs), float)
-    rhs = np.fromiter((row.rhs for row in rows), float, m)
-    le = np.fromiter((row.sense == "<=" for row in rows), bool, m)
-    ge = np.fromiter((row.sense == ">=" for row in rows), bool, m)
-    return a, rhs, np.where(le, -math.inf, rhs), np.where(ge, math.inf, rhs)
 
 
 def _row_bounds(a: np.ndarray, sense_lo, sense_hi, lo: np.ndarray, hi: np.ndarray):
@@ -162,19 +175,6 @@ def _row_bounds(a: np.ndarray, sense_lo, sense_hi, lo: np.ndarray, hi: np.ndarra
     return row_lo, row_hi, bad
 
 
-def _row_arrays(rows: tuple[LpRow, ...], lo: np.ndarray, hi: np.ndarray):
-    """Dense coefficients, rhs and logical bounds of LpRows over [lo, hi].
-
-    Returns (a, rhs, row_lo, row_hi, bad_bounds); raises ValueError for a
-    column index outside the box.
-    """
-    if not rows:  # the box LP, made once per frame: skip the parse
-        empty = np.zeros(0)
-        return np.zeros((0, len(lo))), empty, empty, empty, False
-    a, rhs, sense_lo, sense_hi = _parse_rows(rows, len(lo))
-    return (a, rhs) + _row_bounds(a, sense_lo, sense_hi, lo, hi)
-
-
 def _singleton_rows(a: np.ndarray) -> np.ndarray:
     """Per column of a, the row of its one nonzero when it has exactly one,
     else -1."""
@@ -186,14 +186,15 @@ def _singleton_rows(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min objective . x subject to rows and finite box bounds.
+    """min objective . x subject to the rows and finite box bounds.
 
-    `block` holds the engine's arrays, built when the problem is made.
+    `rows` is the only copy of the rows; `block` holds the engine's arrays
+    over them, built when the problem is made.
     """
 
     num_vars: int
     objective: tuple[float, ...]
-    rows: tuple[LpRow, ...]
+    rows: Rows
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     block: RowBlock = field(init=False, repr=False, compare=False)
@@ -209,12 +210,18 @@ class LpProblem:
             raise ValueError("bounds must be finite")
         if (lo > hi).any():
             raise ValueError("lower bound exceeds upper bound")
-        a, rhs, row_lo, row_hi, bad = _row_arrays(self.rows, lo, hi)
-        singles = _singleton_rows(a)
-        for arr in (a, rhs, row_lo, row_hi, lo, hi, singles):
+        rows, frozen = self.rows, (lo, hi)
+        if len(rows):
+            rhs = _rhs(rows.lo, rows.hi)
+            row_lo, row_hi, bad = _row_bounds(rows.a, rows.lo, rows.hi, lo, hi)
+            frozen += (rows.a, rows.lo, rows.hi, rhs, row_lo, row_hi)
+        else:  # the box LP, made once per frame: nothing to tighten or freeze
+            rhs, row_lo, row_hi, bad = rows.lo, rows.lo, rows.hi, False
+        singles = _singleton_rows(rows.a)
+        for arr in frozen + (singles,):
             arr.flags.writeable = False
         object.__setattr__(self, "block",
-                           RowBlock(a, rhs, row_lo, row_hi, lo, hi, bad, singles))
+                           RowBlock(rows.a, rhs, row_lo, row_hi, lo, hi, bad, singles))
 
     def with_objective(self, objective) -> "LpProblem":
         """The same rows and box under another objective, sharing `block`:
@@ -227,12 +234,6 @@ class LpProblem:
         return problem
 
 
-def _as_rows(rows) -> tuple[LpRow, ...]:
-    return tuple(r if isinstance(r, LpRow)
-                 else LpRow(tuple((int(j), float(v)) for j, v in r[0]), r[1], float(r[2]))
-                 for r in rows)
-
-
 def _floats(values) -> tuple[float, ...]:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -241,10 +242,10 @@ def _floats(values) -> tuple[float, ...]:
 
 
 def make_problem(num_vars, objective, rows, lower=None, upper=None) -> LpProblem:
-    """Convenience constructor; rows may be plain (coeffs, sense, rhs) tuples."""
+    """The LP over the box ([0, 1] by default); rows as `Rows.parse` takes them."""
     lower = (0.0,) * num_vars if lower is None else _floats(lower)
     upper = (1.0,) * num_vars if upper is None else _floats(upper)
-    return LpProblem(num_vars, _floats(objective), _as_rows(rows), lower, upper)
+    return LpProblem(num_vars, _floats(objective), Rows.parse(rows, num_vars), lower, upper)
 
 
 @dataclass
@@ -645,17 +646,17 @@ class _Engine:
 
     # -- state edits -----------------------------------------------------------
 
-    def add_rows(self, block: np.ndarray, rhs: np.ndarray, sense_lo, sense_hi):
-        """Append the rows sense_lo <= block x <= sense_hi (block is k x n,
-        the sense bounds broadcast against rhs), their logicals basic."""
-        kr = len(block)
+    def add_rows(self, rows: Rows):
+        """Append the rows, their logicals basic."""
+        kr = len(rows)
         if kr == 0:
             return
         n, m_old = self.nstruct, self.m
         x_old = self.values()
-        row_lo, row_hi, bad = _row_bounds(block, sense_lo, sense_hi, self.lo[:n], self.hi[:n])
+        block = rows.a
+        row_lo, row_hi, bad = _row_bounds(block, rows.lo, rows.hi, self.lo[:n], self.hi[:n])
         self.a = np.concatenate([self.a, block])
-        self.rhs = np.concatenate([self.rhs, rhs])
+        self.rhs = np.concatenate([self.rhs, _rhs(rows.lo, rows.hi)])
         self.c = np.concatenate([self.c, np.zeros(kr)])
         self.lo = np.concatenate([self.lo, row_lo])
         self.hi = np.concatenate([self.hi, row_hi])
@@ -742,20 +743,14 @@ def _resolve(engine: _Engine) -> LpSolution:
 def add_rows_resolve(solution: LpSolution, rows) -> LpSolution:
     """Re-optimize with extra rows appended; prior solution must be Optimal.
 
-    `rows` is an LeRows block, or LpRows or plain (coeffs, sense, rhs)
-    tuples, which are parsed to the same arrays.
+    `rows` is a Rows block, taken as it is, or LpRows and plain tuples
+    (`Rows.parse`).
     """
     if not solution.optimal:
         raise ValueError("can only add rows to an optimal state")
-    n = solution.state.nstruct
-    if isinstance(rows, LeRows):
-        if rows.a.shape != (len(rows.rhs), n):
-            raise ValueError(f"expected a ({len(rows.rhs)}, {n}) block, got {rows.a.shape}")
-        arrays = rows.a, rows.rhs, -math.inf, rows.rhs
-    else:
-        arrays = _parse_rows(_as_rows(rows), n)
+    rows = Rows.parse(rows, solution.state.nstruct)
     engine = solution.state.clone()
-    engine.add_rows(*arrays)
+    engine.add_rows(rows)
     return _resolve(engine)
 
 
@@ -790,9 +785,12 @@ def dump_lp(problem: LpProblem) -> str:
     terms = [f"{c:+g} x{j}" for j, c in enumerate(problem.objective) if c]
     out.append("  " + (" ".join(terms) if terms else "0"))
     out.append("subject to")
-    for i, row in enumerate(problem.rows):
-        body = " ".join(f"{v:+g} x{j}" for j, v in sorted(row.coeffs))
-        out.append(f"  r{i}: {body} {row.sense} {row.rhs:g}")
+    rows = problem.rows
+    for i, (coeffs, lo, hi) in enumerate(zip(rows.a, rows.lo.tolist(), rows.hi.tolist())):
+        body = " ".join(f"{coeffs[j]:+g} x{j}" for j in np.flatnonzero(coeffs).tolist())
+        bounds = f"= {lo:g}" if lo == hi else " ".join(
+            f"{sense} {b:g}" for sense, b in ((">=", lo), ("<=", hi)) if math.isfinite(b))
+        out.append(f"  r{i}: {body} {bounds}")
     out.append("bounds")
     for j in range(problem.num_vars):
         out.append(f"  {problem.lower[j]:g} <= x{j} <= {problem.upper[j]:g}")

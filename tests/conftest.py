@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,20 @@ def random_forest_code(rng, n_lo=8, n_hi=16) -> LinearCode:
     if not rows:
         rows = [0b11]
     return LinearCode(BinaryMatrix(n, tuple(rows)))
+
+
+def update_lp_digest(h, lp):
+    """Feed an LP to the hash h in a form that does not depend on how its rows
+    are stored: its `dump_lp` text with zero-coefficient terms dropped, the
+    engine's coefficient block (a zero of either sign alike) with its shape
+    and logical bounds, then its objective and box."""
+    from mpdec.simplex import dump_lp
+    h.update(re.sub(r" [+-]0 x\d+", "", dump_lp(lp)).encode())
+    block = lp.block
+    h.update(repr(block.a.shape).encode())
+    for arr in (block.a + 0.0, block.row_lo, block.row_hi):
+        h.update(arr.tobytes())
+    h.update(repr((lp.objective, lp.lower, lp.upper)).encode())
 
 
 def fractional_instance(code, rng, decode, tries=2000):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mpdec.channels import hard_decision
-from mpdec.decoders import (DecodeStatus, DecoderConfig, adaptive_lp_decode,
+from mpdec.decoders import (DECODERS, DecodeStatus, DecoderConfig, adaptive_lp_decode,
                             bit_guessing_decode, branch_and_bound_decode,
                             constant_depth_decode, cutting_plane_decode,
                             facet_guessing_decode, fractional_distance,
@@ -15,7 +15,8 @@ from mpdec.decoders import (DecodeStatus, DecoderConfig, adaptive_lp_decode,
                             variable_depth_decode)
 from mpdec.formulations import has_lonely_fractional_neighbor
 from mpdec.gf2 import (BinaryMatrix, LinearCode, min_distance_bruteforce,
-                       ml_bruteforce, spc_product_code, syndrome)
+                       ml_bruteforce, random_regular_ldpc, spc_product_code,
+                       syndrome)
 
 from conftest import fractional_instance, random_forest_code, random_sparse_code
 
@@ -146,6 +147,15 @@ def test_fda_bounds_distance():
         d = min_distance_bruteforce(code)
         frac = fractional_distance(code)
         assert 0 < frac <= d + 1e-7
+
+
+def test_fractional_distance_rejects_formulations_it_cannot_compute():
+    # only fs and cascade tag the faces it minimizes over; the others used
+    # to return the minimum over the box faces x_j = 1 alone, silently
+    code = random_regular_ldpc(16, 3, 4, 3)
+    for kind in ("config", "count", "edge", "parity_relax"):
+        with pytest.raises(ValueError, match="fs or cascade"):
+            fractional_distance(code, kind)
 
 
 def test_facet_guessing_recovers_ml(hamming):
@@ -358,6 +368,23 @@ def test_decoder_config_validation():
         DecoderConfig(max_nodes=0)
 
 
+def test_cutting_plane_names_a_bad_searcher(code84):
+    # it raised a bare KeyError: 'foo'
+    with pytest.raises(ValueError, match="adaptation"):
+        cutting_plane_decode(code84, np.ones(8), searchers=("foo",))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_llrs_are_rejected(code84, bad):
+    # nan ended in numpy's empty-argmax error or in a decode of value nan,
+    # and +-inf sent branch & bound to the same argmax error
+    lam = np.ones(8)
+    lam[3] = bad
+    for name in DECODERS:
+        with pytest.raises(ValueError, match="LLRs must be finite"):
+            make_decoder(name)(code84, lam)
+
+
 def test_certified_value_is_exact_codeword_cost(code84):
     # the LP value c @ x of an integral vertex can differ from llr @ codeword
     # in the last bits; a certificate reports the codeword's exact cost
@@ -528,26 +555,24 @@ def test_dual_reduced_costs_follow_the_pivots(monkeypatch):
 
 
 def test_separation_block_matches_lp_rows(code84, monkeypatch):
-    # the separation loop hands add_rows_resolve its cuts as one dense <=
-    # block built from the separation arrays; it must be, bit for bit, what
-    # parsing the cuts' LpRows gave: coefficients, rhs and logical bounds
+    # the separation loop hands add_rows_resolve its cuts as one Rows block
+    # built from the separation arrays; it must be, bit for bit, what
+    # parsing the cuts' LpRows gives: coefficients and sense bounds
     import mpdec.decoders as decoders
     from mpdec.channels import Biawgn, llr, transmit, trial_rng
     from mpdec.formulations import row_fs_cuts
     from mpdec.gf2 import random_regular_ldpc
-    from mpdec.simplex import LeRows, _row_arrays, _row_bounds
+    from mpdec.simplex import Rows
 
     def same_bits(got, want):
         return got.dtype == want.dtype and got.shape == want.shape and \
             got.tobytes() == want.tobytes()
 
-    def check(block, cuts, lo, hi):
-        a, rhs, row_lo, row_hi, bad = _row_arrays(
-            tuple(c.as_lp_row() for c in cuts), lo, hi)
-        got_lo, got_hi, got_bad = _row_bounds(block.a, -math.inf, block.rhs, lo, hi)
+    def check(block, cuts, width):
+        parsed = Rows.parse([c.as_lp_row() for c in cuts], width)
         assert len(block) == len(cuts)
-        assert same_bits(block.a, a) and same_bits(block.rhs, rhs)
-        assert same_bits(got_lo, row_lo) and same_bits(got_hi, row_hi) and got_bad == bad
+        for name in ("a", "lo", "hi"):
+            assert same_bits(getattr(block, name), getattr(parsed, name)), name
 
     code120 = random_regular_ldpc(120, 3, 6, 620)
     rng = np.random.default_rng(29)
@@ -558,11 +583,10 @@ def test_separation_block_matches_lp_rows(code84, monkeypatch):
             for x in [rng.random(n), rng.integers(0, 2, n) / 1.0,
                       rng.integers(0, 3, n) / 2.0] * 5:
                 cuts = row_fs_cuts(code.H, x)
-                lo, hi = np.zeros(width), np.ones(width)
-                check(cuts.lp_rows(width), cuts, lo, hi)
+                check(cuts.lp_rows(width), cuts, width)
                 checked += len(cuts) > 0
 
-    # and what the loop really passes, over the bounds of the state it grows:
+    # and what the loop really passes, over the width of the state it grows:
     # the cuts of the last separation call that found any
     add_rows_resolve, last, passed = decoders.add_rows_resolve, [], []
     for name in ("row_fs_cuts", "matrix_adaptation_cut_search"):
@@ -571,10 +595,9 @@ def test_separation_block_matches_lp_rows(code84, monkeypatch):
             last.append((name, f(*args))) or last[-1][1]))
 
     def recorded(sol, rows):
-        assert isinstance(rows, LeRows)
+        assert isinstance(rows, Rows)
         name, cuts = [(name, c) for name, c in last if c][-1]
-        n = sol.state.nstruct
-        check(rows, cuts, sol.state.lo[:n], sol.state.hi[:n])
+        check(rows, cuts, sol.state.nstruct)
         passed.append(name)
         return add_rows_resolve(sol, rows)
 

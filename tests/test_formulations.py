@@ -26,7 +26,8 @@ from mpdec.gf2 import (BinaryMatrix, LinearCode, enumerate_codewords,
 from mpdec.simplex import add_rows_resolve, solve
 
 from conftest import (random_sparse_code, reference_most_violated_fs_cut,
-                      reference_row_fs_cuts, reference_separate_words)
+                      reference_row_fs_cuts, reference_separate_words,
+                      update_lp_digest)
 
 
 def spc3():
@@ -166,8 +167,7 @@ def test_parity_relax_codeword_feasible():
     form = build_parity_relax_lp(code, np.zeros(3))
     # x = (1,1,0) -> z = 1
     assert form.lp.num_vars == 4
-    row = form.lp.rows[0]
-    act = sum(v * x for (j, v), x in zip(row.coeffs, [1.0, 1.0, 0.0, 1.0]))
+    act = form.lp.rows.a[0] @ np.array([1.0, 1.0, 0.0, 1.0])
     assert act == pytest.approx(0.0)
 
 
@@ -523,9 +523,10 @@ def test_batch_separation_sums_in_support_order():
     assert cuts == [want] and cuts[0].check == 1
 
 
-# Every builder's output, pinned: the sha256 of the repr of its kind, n, row
-# tags, columns, objective, rows and box, over four codes (one with an empty
-# check and degree-2 checks), called directly and through build_formulation.
+# Every builder's output, pinned: the sha256 of its kind, n and row tags and
+# of its LP (`update_lp_digest`: rows, bounds, objective and box), over four
+# codes (one with an empty check and degree-2 checks), called directly and
+# through build_formulation.
 _PIN_CODES = (
     lambda: random_regular_ldpc(24, 3, 6, 1),
     lambda: spc_product_code((3, 3, 3)),
@@ -533,12 +534,12 @@ _PIN_CODES = (
     lambda: LinearCode(BinaryMatrix(6, (0b111111, 0b000011, 0, 0b110000))),
 )
 _BUILDER_DIGESTS = {
-    "fs": "bffa432c4e7c90f3b43eed3948b43bd3f75aa5041af81e46d850275698988d48",
-    "config": "94ec3158d479933ea13e93c0e344c089a16477ebed2c75ae25a1fef6b6b4c9be",
-    "count": "b33fd4649223047b6c5c9065e37cf35c9491621e8d0e23f3054bfed5d7e24dcf",
-    "cascade": "f708b473eb69c38c37ac2cdcb56806a5157d15b754fcbb2ebd30f2d27d903463",
-    "edge": "40fba00dd8404261bc68c7eb8de5bb89d974e7b0dc76136d98fb3b04c4ae55a9",
-    "parity_relax": "09ee9255a913f2403c3b59664f43a361a25524b3bfdf426c84f380c3e98ea316",
+    "fs": "0506626a66079d83f071132dc98f054db59c3352a60331aabbd1a5f55f189bd9",
+    "config": "36eef10d4613169ac3392c255a88960ff47cc513df890f235b76b343eb531d3c",
+    "count": "b8dab5a7531cff0d80e6597d0e3d56534cd3ab19b0318b94a8c76c8b7cf7cd68",
+    "cascade": "7f29d3b87620025ee2bc40c4aed45529400f2279c881feae53b3b9422e7c91b7",
+    "edge": "66d6eb7ee5a59fd49526fc8759c3fa9c78a6d6a6e31385ac2e7cae418f7f8971",
+    "parity_relax": "f1a0190a0fe12ccde5d0dd43f27b2fb71cc74825105888aad093687f7e460b35",
 }
 
 
@@ -547,11 +548,13 @@ def _formulation_digest(kind):
     for seed, make_code in enumerate(_PIN_CODES):
         code = make_code()
         lam = np.random.default_rng(seed).standard_normal(code.n)
-        texts = [repr((f.kind, f.n, f.row_tags, f.lp.num_vars, f.lp.objective,
-                       f.lp.rows, f.lp.lower, f.lp.upper))
-                 for f in (_FRESH[kind](code, lam), build_formulation(code, kind, lam))]
-        assert texts[0] == texts[1]
-        h.update(texts[0].encode())
+        parts = []
+        for f in (_FRESH[kind](code, lam), build_formulation(code, kind, lam)):
+            part = hashlib.sha256(repr((f.kind, f.n, f.row_tags, f.lp.num_vars)).encode())
+            update_lp_digest(part, f.lp)
+            parts.append(part.digest())
+        assert parts[0] == parts[1]
+        h.update(parts[0])
     return h.hexdigest()
 
 

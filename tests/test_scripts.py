@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,7 @@ def test_script_runs(script, tmp_path):
         runs = {run["run"]: run for run in record["runs"]}
         assert {"lp@60", "lp@120", "lp@spc:3,3,3", "branch_and_bound@48"} <= set(runs)
         assert all("branch_nodes_per_frame" in run for run in runs.values())
+        assert all(re.fullmatch("[0-9a-f]{64}", run["answers"]) for run in runs.values())
         search = runs["branch_and_bound@48"]
         assert search["decoder"] == "branch_and_bound" and search["frames"] == 8
         assert search["branch_nodes_per_frame"] > 0  # frame t = 7 branches

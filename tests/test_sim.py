@@ -362,3 +362,15 @@ def test_cli_input_errors_are_usage_errors(argv, expected, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and expected in err
+
+
+@pytest.mark.parametrize("decoder", ["lp", "adaptive_lp", "branch_and_bound", "min_sum"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cli_rejects_non_finite_llrs(decoder, bad, capsys):
+    # nan ended in numpy's empty-argmax error or printed value=nan
+    with pytest.raises(SystemExit) as exit_info:
+        main(["decode", "--code", "spc:3,3", f"--llr={bad},1,1,1,-1,1,1,1,1",
+              "--decoder", decoder])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "mpdec: error: LLRs must be finite" in err

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mpdec.simplex import (_AT_LOWER, _BASIC, _WARM_DUAL_TOL, COST_TOL, LpRow, LpSolverError,
-                           LpStatus, _Engine, _parse_rows, add_rows_resolve, dump_lp,
+                           LpStatus, Rows, _Engine, add_rows_resolve, dump_lp,
                            fix_variable_resolve, is_integral, make_problem, solve)
 
 
@@ -451,8 +451,8 @@ def test_zero_row_problem_bound_flips():
 
 
 def add_lp_rows(engine, rows):
-    """Append LpRows to an engine, which takes rows as arrays."""
-    engine.add_rows(*_parse_rows(tuple(rows), engine.nstruct))
+    """Append LpRows to an engine, which takes rows as one block."""
+    engine.add_rows(Rows.parse(rows, engine.nstruct))
 
 
 def dense_basis(engine):
