@@ -609,3 +609,57 @@ def test_separation_block_matches_lp_rows(code84, monkeypatch):
         adaptive_lp_decode(code120, lam)
     assert checked > 50 and len(passed) > 20
     assert "matrix_adaptation_cut_search" in passed
+
+
+def decoder_battery():
+    """Every decoder on three codes, under one BLAS thread, as two digests:
+    the answers (status, `value.hex()`, point) and the work (the
+    `DecodeStats` counters but wall time).  Run it in a fresh interpreter
+    (`test_decoder_outputs_are_pinned`), as pivots follow the thread count."""
+    import hashlib
+    from mpdec.channels import Biawgn, Bsc, llr, transmit, trial_rng
+    from mpdec.decoders import DecodeStats
+    answers, work = hashlib.sha256(), hashlib.sha256()
+    counters = [f for f in DecodeStats.__dataclass_fields__ if f != "wall_time"]
+    # (code, channel, frames, facet guessing's num_faces); exhaustive facet
+    # guessing at n=60 alone would take half a minute
+    cases = [(random_regular_ldpc(32, 3, 4, 7), Bsc(0.1), 24, None),
+             (random_regular_ldpc(60, 3, 6, 2), Biawgn(0.8), 6, 40),
+             (spc_product_code((3, 3)), Biawgn(0.9), 24, None)]
+    for code, channel, frames, num_faces in cases:
+        runs = [(name, DecoderConfig(depth=4, num_faces=num_faces)) for name in DECODERS]
+        runs += [(name, DecoderConfig(formulation="cascade"))
+                 for name in ("lp", "branch_and_bound")]
+        for t in range(frames):
+            word = np.zeros(code.n, dtype=np.uint8)
+            lam = llr(transmit(word, channel, trial_rng(3, 0, t)), channel)
+            for name, config in runs:
+                res = make_decoder(name, config)(code, lam)
+                point = None if res.point is None else np.asarray(res.point, float).tolist()
+                answers.update(repr((name, res.status.value, res.value.hex(), point)).encode())
+                work.update(repr([getattr(res.stats, f) for f in counters]).encode())
+        if code.n < 60:
+            for formulation in ("fs", "cascade"):
+                answers.update(fractional_distance(code, formulation).hex().encode())
+    return answers.hexdigest(), work.hexdigest()
+
+
+def test_decoder_outputs_are_pinned():
+    # answers and work counters of 13 decoder runs on 54 frames and of
+    # fractional distance, recorded before the LP type was last reshaped; a
+    # change meant to move pivots re-records only the work digest
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(tests), str(tests.parent / "src")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import test_decoders as t; print(*t.decoder_battery())"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    answers, work = proc.stdout.split()
+    assert answers == "be6a4a2e564b01cf852e8b40a9fda365c91cdef757a05be36a0021af84a4e141"
+    assert work == "6e61f959840587bc5db803082d68a4fe024cd995428299ffa70383560411dd37"
