@@ -25,13 +25,13 @@ class Bsc:
 
 @dataclass(frozen=True)
 class Biawgn:
-    """Binary-input AWGN channel with noise standard deviation sigma > 0."""
+    """Binary-input AWGN channel with finite noise standard deviation sigma > 0."""
 
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 ChannelModel = Bsc | Biawgn
@@ -72,7 +72,10 @@ def ebn0_db_to_sigma(ebn0_db: float, rate: float) -> float:
     """Noise sigma for a given Eb/N0 in dB: sigma^2 = 1 / (2 R 10^(dB/10))."""
     if rate <= 0:
         raise ValueError("code rate must be positive")
-    return math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0)))
+    try:
+        return math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0)))
+    except (ZeroDivisionError, OverflowError):  # -inf dB, or far out of range
+        raise ValueError(f"Eb/N0 of {ebn0_db} dB gives no noise sigma") from None
 
 
 def trial_rng(master_seed: int, point_index: int, trial_index: int) -> np.random.Generator:

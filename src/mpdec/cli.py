@@ -198,6 +198,18 @@ def cmd_cuts(args) -> int:
     return 0
 
 
+def _join_llr_values(argv: list[str]) -> list[str]:
+    """argv with each `--llr V` written `--llr=V`: argparse takes a V that
+    starts with '-' but is not a plain number, such as -1,1, for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--llr" and not arg.startswith("--"):
+            out[-1] = f"--llr={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mpdec",
@@ -242,7 +254,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_cuts)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_llr_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

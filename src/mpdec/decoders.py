@@ -395,10 +395,11 @@ def facet_guessing_decode(code: LinearCode, llr, num_faces: int | None = None,
 
     def search(form, root, incumbent, stats):
         x = root.x[:code.n]
-        active = set(root.active_rows)
         rows = form.lp.rows
-        # (row, None) is a row's face, (None, (j, v)) pins bit j to v
-        faces = [(i, None) for i in range(len(rows)) if i not in active]
+        # every fs row is a <= row; (row, None) is the face of one the root
+        # does not touch, (None, (j, v)) pins bit j to v
+        loose = np.abs(rows.a @ root.x - rows.hi) > FEAS_TOL
+        faces = [(i, None) for i in np.flatnonzero(loose).tolist()]
         for j in range(code.n):
             if x[j] > FEAS_TOL:
                 faces.append((None, (j, 0.0)))

@@ -52,6 +52,8 @@ class SimConfig:
             raise ValueError("need at least one decoder")
         if self.max_frames < 1 or self.min_frame_errors < 1:
             raise ValueError("stop rule must be satisfiable")
+        for point in self.points:  # a bad last point must not cost a campaign
+            self.channel_model(point)
 
     def channel_model(self, point: float):
         if self.channel == "bsc":

@@ -7,11 +7,12 @@ form is [A | -I] [x; r] = 0 with r the row activities.  Only the structural
 block A is stored: logical column n + i is -e_i, so its reduced cost is the
 row's dual value y_i.
 
-An LpProblem keeps its rows once, as one `Rows` block, which LpRows and
-plain tuples are parsed into where they enter (`make_problem`,
-`add_rows_resolve`).  The engine's arrays over it are built once, when the
-problem is made; `LpProblem.with_objective` shares both with another
-objective, so a row block kept per code costs no per-row work per frame.
+An LpProblem keeps each of its arrays once, read-only: the objective, the
+box, its rows as one `Rows` block (which LpRows and plain tuples are parsed
+into where they enter, `make_problem` and `add_rows_resolve`) and the
+engine's arrays over them, all built when the problem is made.
+`LpProblem.with_objective` shares all but the objective, so a row block kept
+per code costs no per-row work per frame.
 
 The basis inverse is never stored whole.  With S the k basic structural
 columns, T the k rows whose logicals are nonbasic and L the other rows,
@@ -56,7 +57,7 @@ and ratios within 1e-12 tie, and a warm basis must be dual feasible to 1e-7.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 import math
 from typing import NamedTuple
@@ -104,10 +105,6 @@ class Rows:
     def __len__(self) -> int:
         return len(self.lo)
 
-    def __eq__(self, other):
-        return isinstance(other, Rows) and all(map(
-            np.array_equal, (self.a, self.lo, self.hi), (other.a, other.lo, other.hi)))
-
     def face(self, i: int) -> "Rows":
         """Row i as the one-row block a_i x >= hi_i, the face of a <= row."""
         return Rows(self.a[i:i + 1], self.hi[i:i + 1], np.full(1, math.inf))
@@ -142,24 +139,6 @@ class Rows:
                    np.where(senses == ">=", math.inf, rhs))
 
 
-def _rhs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Each row's right-hand side: hi where lo is open, else lo."""
-    return np.where(lo == -math.inf, hi, lo)
-
-
-class RowBlock(NamedTuple):
-    """The engine's arrays for a problem's rows over its box; all read-only."""
-
-    a: np.ndarray        # (m, n) structural coefficients, the rows' own
-    rhs: np.ndarray      # (m,)
-    row_lo: np.ndarray   # (m,) logical bounds: the sense bounds tightened
-    row_hi: np.ndarray   # to each row's activity range over the box
-    lower: np.ndarray    # (n,) the box
-    upper: np.ndarray
-    bad_bounds: bool     # some row cannot be met inside the box
-    singles: np.ndarray  # (n,) the row of each column with one nonzero, else -1
-
-
 def _row_bounds(a: np.ndarray, sense_lo, sense_hi, lo: np.ndarray, hi: np.ndarray):
     """Logical bounds of the rows sense_lo <= a x <= sense_hi over the box
     [lo, hi]: the sense bounds tightened to each row's activity range.
@@ -184,68 +163,63 @@ def _singleton_rows(a: np.ndarray) -> np.ndarray:
     return np.where(nz.sum(axis=0) == 1, nz.argmax(axis=0), -1)
 
 
-@dataclass(frozen=True)
-class LpProblem:
-    """min objective . x subject to the rows and finite box bounds.
+def _read_only(values, n: int, what: str) -> np.ndarray:
+    """A read-only float copy of values, which must have shape (n,)."""
+    out = np.array(values, dtype=float)
+    if out.shape != (n,):
+        raise ValueError(f"{what} length mismatch")
+    out.flags.writeable = False
+    return out
 
-    `rows` is the only copy of the rows; `block` holds the engine's arrays
-    over them, built when the problem is made.
+
+class LpProblem:
+    """min objective . x subject to the rows and the finite box [lower, upper].
+
+    Each array is kept once and is read-only: `objective`, `lower` and
+    `upper` (n,); `rows`, as `Rows.parse` takes them; and the engine's arrays
+    over them, `row_lo` and `row_hi` (m,), the rows' sense bounds tightened to
+    each row's activity range over the box, and `singles` (n,), the row of
+    each column with one nonzero, else -1.  `bad_bounds` is True when some
+    row cannot be met inside the box.
     """
 
-    num_vars: int
-    objective: tuple[float, ...]
-    rows: Rows
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-    block: RowBlock = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.objective) != self.num_vars:
-            raise ValueError("objective length mismatch")
-        lo = np.array(self.lower, dtype=float)
-        hi = np.array(self.upper, dtype=float)
-        if lo.shape != (self.num_vars,) or hi.shape != (self.num_vars,):
-            raise ValueError("bounds length mismatch")
+    def __init__(self, num_vars: int, objective, rows, lower, upper):
+        self.objective = _read_only(objective, num_vars, "objective")
+        self.lower = lo = _read_only(lower, num_vars, "bounds")
+        self.upper = hi = _read_only(upper, num_vars, "bounds")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError("bounds must be finite")
         if (lo > hi).any():
             raise ValueError("lower bound exceeds upper bound")
-        rows, frozen = self.rows, (lo, hi)
+        self.rows = rows = Rows.parse(rows, num_vars)
         if len(rows):
-            rhs = _rhs(rows.lo, rows.hi)
-            row_lo, row_hi, bad = _row_bounds(rows.a, rows.lo, rows.hi, lo, hi)
-            frozen += (rows.a, rows.lo, rows.hi, rhs, row_lo, row_hi)
+            self.row_lo, self.row_hi, self.bad_bounds = _row_bounds(
+                rows.a, rows.lo, rows.hi, lo, hi)
+            frozen = (rows.a, rows.lo, rows.hi, self.row_lo, self.row_hi)
         else:  # the box LP, made once per frame: nothing to tighten or freeze
-            rhs, row_lo, row_hi, bad = rows.lo, rows.lo, rows.hi, False
-        singles = _singleton_rows(rows.a)
-        for arr in frozen + (singles,):
+            self.row_lo, self.row_hi, self.bad_bounds = rows.lo, rows.hi, False
+            frozen = ()
+        self.singles = _singleton_rows(rows.a)
+        for arr in frozen + (self.singles,):
             arr.flags.writeable = False
-        object.__setattr__(self, "block",
-                           RowBlock(rows.a, rhs, row_lo, row_hi, lo, hi, bad, singles))
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.objective)
 
     def with_objective(self, objective) -> "LpProblem":
-        """The same rows and box under another objective, sharing `block`:
-        nothing is validated or converted again but the objective."""
-        objective = _floats(objective)
-        if len(objective) != self.num_vars:
-            raise ValueError("objective length mismatch")
+        """The same rows and box under another objective, sharing every other
+        array: nothing is validated or converted again but the objective."""
         problem = copy.copy(self)
-        object.__setattr__(problem, "objective", objective)
+        problem.objective = _read_only(objective, self.num_vars, "objective")
         return problem
-
-
-def _floats(values) -> tuple[float, ...]:
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError("expected a flat sequence of numbers")
-    return tuple(values.tolist())
 
 
 def make_problem(num_vars, objective, rows, lower=None, upper=None) -> LpProblem:
     """The LP over the box ([0, 1] by default); rows as `Rows.parse` takes them."""
-    lower = (0.0,) * num_vars if lower is None else _floats(lower)
-    upper = (1.0,) * num_vars if upper is None else _floats(upper)
-    return LpProblem(num_vars, _floats(objective), Rows.parse(rows, num_vars), lower, upper)
+    return LpProblem(num_vars, objective, rows,
+                     np.zeros(num_vars) if lower is None else lower,
+                     np.ones(num_vars) if upper is None else upper)
 
 
 @dataclass
@@ -260,7 +234,6 @@ class LpSolution:
     status: LpStatus
     x: np.ndarray | None
     value: float
-    active_rows: tuple[int, ...]
     state: "_Engine"
     pivots: int = 0
     refactors: int = 0
@@ -280,8 +253,8 @@ class _Engine:
     """Mutable simplex state over the standard form [A | -I] z = 0.
 
     Columns 0..n-1 are structural, column n + i is row i's logical; only A
-    is stored.  `a`, `rhs` and `c` are never written in place, so clones
-    share them until `add_rows` replaces them.
+    is stored.  `a` and `c` are never written in place, so clones share them
+    until `add_rows` replaces them.
 
     B^-1 is kept as its k tight-row columns (see the module doc).  `_order`
     lists the rows tight first: `_order[:k]` are the rows of `_w`, whose row
@@ -291,19 +264,15 @@ class _Engine:
     min(n, m) rows, as k never exceeds that.
     """
 
-    def __init__(self, problem: LpProblem | None):
-        if problem is None:
-            return
-        block = problem.block
-        n, m = problem.num_vars, len(block.rhs)
+    def __init__(self, problem: LpProblem):
+        n, m = problem.num_vars, len(problem.rows)
         self.nstruct = n
-        self.a = block.a
-        self.rhs = block.rhs
+        self.a = problem.rows.a
         self.c = np.concatenate([problem.objective, np.zeros(m)])
-        self.lo = np.concatenate([block.lower, block.row_lo])
-        self.hi = np.concatenate([block.upper, block.row_hi])
-        self.bad_bounds = block.bad_bounds
-        self.singles = block.singles  # None once rows are added; see _crash
+        self.lo = np.concatenate([problem.lower, problem.row_lo])
+        self.hi = np.concatenate([problem.upper, problem.row_hi])
+        self.bad_bounds = problem.bad_bounds
+        self.singles = problem.singles  # None once rows are added; see _crash
         self.basis = np.arange(n, n + m)
         self.status = np.full(n + m, _AT_LOWER, dtype=np.int8)
         self.status[self.basis] = _BASIC
@@ -320,8 +289,7 @@ class _Engine:
         return len(self.basis)
 
     def clone(self) -> "_Engine":
-        e = _Engine(None)
-        e.__dict__.update(self.__dict__)
+        e = copy.copy(self)
         e.lo = self.lo.copy()
         e.hi = self.hi.copy()
         e.basis = self.basis.copy()
@@ -656,7 +624,6 @@ class _Engine:
         block = rows.a
         row_lo, row_hi, bad = _row_bounds(block, rows.lo, rows.hi, self.lo[:n], self.hi[:n])
         self.a = np.concatenate([self.a, block])
-        self.rhs = np.concatenate([self.rhs, _rhs(rows.lo, rows.hi)])
         self.c = np.concatenate([self.c, np.zeros(kr)])
         self.lo = np.concatenate([self.lo, row_lo])
         self.hi = np.concatenate([self.hi, row_hi])
@@ -720,11 +687,10 @@ def _finish(engine: _Engine, status: LpStatus, warm_fallback: bool = False) -> L
     counts = dict(pivots=engine.pivots, refactors=engine.refactors,
                   warm_fallback=warm_fallback)
     if status is LpStatus.INFEASIBLE:
-        return LpSolution(LpStatus.INFEASIBLE, None, math.inf, (), engine, **counts)
-    x, n = engine.values(), engine.nstruct
-    active = (np.abs(x[n:] - engine.rhs) <= FEAS_TOL).nonzero()[0].tolist()
-    return LpSolution(LpStatus.OPTIMAL, x[:n], float(engine.c @ x), tuple(active),
-                      engine, **counts)
+        return LpSolution(LpStatus.INFEASIBLE, None, math.inf, engine, **counts)
+    x = engine.values()
+    return LpSolution(LpStatus.OPTIMAL, x[:engine.nstruct], float(engine.c @ x), engine,
+                      **counts)
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -782,7 +748,7 @@ def is_integral(x, tol: float = INTEGRALITY_TOL) -> bool:
 def dump_lp(problem: LpProblem) -> str:
     """Line-oriented deterministic text dump of an LpProblem (debug aid)."""
     out = ["minimize"]
-    terms = [f"{c:+g} x{j}" for j, c in enumerate(problem.objective) if c]
+    terms = [f"{c:+g} x{j}" for j, c in enumerate(problem.objective.tolist()) if c]
     out.append("  " + (" ".join(terms) if terms else "0"))
     out.append("subject to")
     rows = problem.rows
@@ -792,6 +758,6 @@ def dump_lp(problem: LpProblem) -> str:
             f"{sense} {b:g}" for sense, b in ((">=", lo), ("<=", hi)) if math.isfinite(b))
         out.append(f"  r{i}: {body} {bounds}")
     out.append("bounds")
-    for j in range(problem.num_vars):
-        out.append(f"  {problem.lower[j]:g} <= x{j} <= {problem.upper[j]:g}")
+    for j, (lo, hi) in enumerate(zip(problem.lower.tolist(), problem.upper.tolist())):
+        out.append(f"  {lo:g} <= x{j} <= {hi:g}")
     return "\n".join(out) + "\n"

@@ -87,11 +87,10 @@ def update_lp_digest(h, lp):
     and logical bounds, then its objective and box."""
     from mpdec.simplex import dump_lp
     h.update(re.sub(r" [+-]0 x\d+", "", dump_lp(lp)).encode())
-    block = lp.block
-    h.update(repr(block.a.shape).encode())
-    for arr in (block.a + 0.0, block.row_lo, block.row_hi):
+    h.update(repr(lp.rows.a.shape).encode())
+    for arr in (lp.rows.a + 0.0, lp.row_lo, lp.row_hi):
         h.update(arr.tobytes())
-    h.update(repr((lp.objective, lp.lower, lp.upper)).encode())
+    h.update(repr(tuple(tuple(v.tolist()) for v in (lp.objective, lp.lower, lp.upper))).encode())
 
 
 def fractional_instance(code, rng, decode, tries=2000):

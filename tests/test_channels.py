@@ -41,6 +41,20 @@ def test_invalid_channels():
         Biawgn(0.0)
 
 
+@pytest.mark.parametrize("sigma", [math.inf, math.nan, -1.0])
+def test_biawgn_rejects_sigma_that_is_not_positive_and_finite(sigma):
+    # an infinite sigma was accepted, and its llr() returned nan
+    with pytest.raises(ValueError, match="sigma"):
+        Biawgn(sigma)
+
+
+@pytest.mark.parametrize("ebn0_db", [-math.inf, -1e4, 1e4])
+def test_ebn0_out_of_range_is_a_value_error(ebn0_db):
+    # -inf dB divided by zero; 1e4 dB overflowed
+    with pytest.raises(ValueError, match="Eb/N0"):
+        ebn0_db_to_sigma(ebn0_db, 0.5)
+
+
 def test_transmit_deterministic():
     x = np.zeros(64, dtype=np.uint8)
     a = transmit(x, Bsc(0.3), 7)

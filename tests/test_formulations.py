@@ -399,12 +399,16 @@ def test_cached_build_equals_fresh_build(kind, code84):
     lam = rng.standard_normal(8)
     cached = build_formulation(code, kind, lam)
     fresh = _FRESH[kind](code84, lam)
-    assert cached.lp.rows is first.lp.rows and cached.lp.block is first.lp.block
+    for name in ("rows", "lower", "upper", "row_lo", "row_hi", "singles"):
+        assert getattr(cached.lp, name) is getattr(first.lp, name), name
     assert cached.row_tags == fresh.row_tags
-    assert cached.lp == fresh.lp  # rows, padded objective, box
-    assert cached.lp.objective[8:] == (0.0,) * (cached.lp.num_vars - 8)
-    for name, arr in cached.lp.block._asdict().items():
-        assert np.array_equal(arr, getattr(fresh.lp.block, name)), name
+    # rows, padded objective, box and the engine's arrays
+    assert np.array_equal(cached.lp.objective[8:], np.zeros(cached.lp.num_vars - 8))
+    for name in ("objective", "lower", "upper", "row_lo", "row_hi", "singles"):
+        assert np.array_equal(getattr(cached.lp, name), getattr(fresh.lp, name)), name
+    for name in ("a", "lo", "hi"):
+        assert np.array_equal(getattr(cached.lp.rows, name), getattr(fresh.lp.rows, name)), name
+    assert cached.lp.bad_bounds == fresh.lp.bad_bounds
     assert solve(cached.lp).value == pytest.approx(solve(fresh.lp).value, abs=1e-9)
 
 
@@ -415,12 +419,12 @@ def test_cached_objectives_do_not_bleed(code84):
     forms = [build_formulation(code, "fs", lam) for lam in lams]
     sols = [solve(f.lp) for f in forms]
     for lam, form, sol in zip(lams, forms, sols):
-        assert form.lp.objective == tuple(lam)
+        assert np.array_equal(form.lp.objective, lam)
         again = solve(build_fs_lp(code84, lam).lp)
         assert sol.value == again.value and np.array_equal(sol.x, again.x)
     # warm re-solves write only into their clones
     add_rows_resolve(sols[0], [(((0, 1.0),), "<=", 0.5)])
-    assert np.array_equal(forms[1].lp.block.a, build_fs_lp(code84, lams[1]).lp.block.a)
+    assert np.array_equal(forms[1].lp.rows.a, build_fs_lp(code84, lams[1]).lp.rows.a)
     with pytest.raises(ValueError):
         build_formulation(code, "fs", np.zeros(7))
 

@@ -44,6 +44,24 @@ def test_config_validation(small_code):
         small_config(small_code, points=(0.1, 0.1))
 
 
+@pytest.mark.parametrize("channel, points, expected", [
+    ("bsc", (0.05, 0.7), "crossover"),
+    ("bsc", (0.05, math.nan), "crossover"),
+    ("biawgn", (1.0, math.inf), "sigma"),
+    ("biawgn", (1.0, -math.inf), "Eb/N0"),
+    ("biawgn", (1.0, math.nan), "sigma"),
+])
+def test_config_rejects_a_bad_channel_point_up_front(small_code, channel, points, expected):
+    # the config was accepted, and simulate_to_csv ran every frame of the
+    # good first point before the bad one raised, writing nothing
+    with pytest.raises(ValueError, match=expected):
+        small_config(small_code, channel=channel, points=points)
+    text = f"code = random:16,3,4,7\nchannel = {channel}\ndecoders = lp\n" \
+           f"points = {','.join(map(str, points))}\n"
+    with pytest.raises(ValueError, match=expected):
+        parse_sim_config_text(text)
+
+
 def test_simulate_deterministic(small_code):
     cfg = small_config(small_code)
     a = simulate(cfg)
@@ -354,6 +372,8 @@ def test_parse_sim_config_strips_searcher_names():
       "--decoder", "bogus"], "--decoder"),
     (["decode", "--code", "spc:3,3"], "--llr or --channel"),
     (["mindist", "--code", "no/such/file.alist"], "no/such/file.alist"),
+    # an infinite sigma got as far as the decoder's "LLRs must be finite"
+    (["decode", "--code", "spc:3,3", "--channel", "biawgn:inf"], "sigma must be positive"),
 ])
 def test_cli_input_errors_are_usage_errors(argv, expected, capsys):
     # each used to end in a raw traceback (or a bare unpacking error)
@@ -362,6 +382,29 @@ def test_cli_input_errors_are_usage_errors(argv, expected, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and expected in err
+
+
+@pytest.mark.parametrize("command", ["decode", "cuts"])
+@pytest.mark.parametrize("llr", ["-1,1,1,1,-1,1,1,1,1", "-0.5,1,1,1,1,1,1,1,1",
+                                 "-inf,1,1,1,-1,1,1,1,1"])
+def test_cli_llr_list_may_start_with_a_minus(command, llr, capsys):
+    # argparse took a value such as -1,1,... for an option and stopped with
+    # "argument --llr: expected one argument"; both spellings now parse
+    results = []
+    for argv in (["--llr", llr], [f"--llr={llr}"]):
+        try:
+            code = main([command, "--code", "spc:3,3", *argv])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert "expected one argument" not in captured.err
+        results.append((code, captured.out, captured.err))
+    assert results[0][0] == results[1][0]
+    assert results[0][1].split(" ms=")[0] == results[1][1].split(" ms=")[0]
+    if llr.startswith("-inf"):
+        assert results[0][0] == 2 and "LLRs must be finite" in results[0][2]
+    else:
+        assert results[0][0] == 0 and results[0][1].startswith("status=ml_certified")
 
 
 @pytest.mark.parametrize("decoder", ["lp", "adaptive_lp", "branch_and_bound", "min_sum"])

@@ -98,7 +98,6 @@ def test_simplex_vertex():
     sol = solve(make_problem(2, [-1.0, -1.0], [([(0, 1.0), (1, 1.0)], "<=", 1.0)]))
     assert sol.optimal
     assert sol.value == pytest.approx(-1.0, abs=1e-9)
-    assert sol.active_rows == (0,)
 
 
 def spc_fs_rows():
@@ -385,7 +384,7 @@ def test_scratch_start_is_dual_feasible(code84, monkeypatch):
         for cost in (c, rng.choice([-1.0, 1.0], size=n)):
             problems.append((make_problem(n, cost, rows, lo, hi), None))
     for problem, llr in problems:
-        if problem.block.bad_bounds:
+        if problem.bad_bounds:
             continue
         d, engine = scratch_start_reduced_costs(problem, monkeypatch)
         assert not engine._prices_in(d, _WARM_DUAL_TOL).any()
@@ -612,26 +611,26 @@ def test_engine_stores_no_identity_block():
 
 def test_problem_arrays_are_read_only():
     p = make_problem(3, [1.0, 0.0, -1.0], spc_fs_rows())
-    for arr in (p.block.a, p.block.rhs, p.block.row_lo, p.block.row_hi,
-                p.block.lower, p.block.upper):
+    for arr in (p.rows.a, p.row_lo, p.row_hi, p.objective, p.lower, p.upper):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
-        p.block.a[0, 0] = 5.0
+        p.rows.a[0, 0] = 5.0
     # a solve and its warm re-solves leave them as built
     sol = solve(p)
     add_rows_resolve(sol, [([(0, 1.0)], "<=", 0.5)])
     fix_variable_resolve(sol, 1, 1.0)
-    fresh = make_problem(3, [1.0, 0.0, -1.0], spc_fs_rows()).block
-    assert np.array_equal(p.block.a, fresh.a) and np.array_equal(p.block.row_lo, fresh.row_lo)
-    assert sol.state.a is p.block.a
+    fresh = make_problem(3, [1.0, 0.0, -1.0], spc_fs_rows())
+    assert np.array_equal(p.rows.a, fresh.rows.a) and np.array_equal(p.row_lo, fresh.row_lo)
+    assert sol.state.a is p.rows.a
 
 
 def test_with_objective_shares_rows_only():
     p = make_problem(3, [1.0, 0.0, -1.0], spc_fs_rows())
     q = p.with_objective(np.array([-1.0, -1.0, 1.0]))
-    assert q.block is p.block and q.rows is p.rows
-    assert p.objective == (1.0, 0.0, -1.0) and q.objective == (-1.0, -1.0, 1.0)
-    assert q == make_problem(3, [-1.0, -1.0, 1.0], spc_fs_rows())
+    for name in ("rows", "lower", "upper", "row_lo", "row_hi", "singles"):
+        assert getattr(q, name) is getattr(p, name), name
+    assert p.objective.tolist() == [1.0, 0.0, -1.0] and q.objective.tolist() == [-1.0, -1.0, 1.0]
+    assert dump_lp(q) == dump_lp(make_problem(3, [-1.0, -1.0, 1.0], spc_fs_rows()))
     assert solve(q).value == pytest.approx(-2.0, abs=1e-9)
     assert solve(p).value == pytest.approx(
         solve(make_problem(3, [1.0, 0.0, -1.0], spc_fs_rows())).value, abs=1e-12)
@@ -683,11 +682,11 @@ def test_logical_bounds_match_row_loop():
                  rhs + float(rng.uniform(-0.5, 0.5))) for coeffs, sense, rhs in rows]
         lo = rng.uniform(-2.0, 0.0, size=n).round(3)
         hi = lo + rng.uniform(0.0, 3.0, size=n).round(3)
-        block = make_problem(n, c, rows, lo, hi).block
+        problem = make_problem(n, c, rows, lo, hi)
         ref = loop_logical_bounds(rows, lo, hi)
         bad = any(l > h + 1e-9 for l, h in ref)
-        assert block.bad_bounds == bad
-        for (l, h), got_l, got_h in zip(ref, block.row_lo, block.row_hi):
+        assert problem.bad_bounds == bad
+        for (l, h), got_l, got_h in zip(ref, problem.row_lo, problem.row_hi):
             assert got_h == pytest.approx(h, rel=1e-12, abs=1e-12)
             if not bad:
                 assert got_l == pytest.approx(min(l, h), rel=1e-12, abs=1e-12)
