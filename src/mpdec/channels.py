@@ -62,6 +62,17 @@ def llr(y, channel: ChannelModel) -> np.ndarray:
     return 2.0 * y / channel.sigma ** 2
 
 
+def checked_llrs(lam, n: int) -> np.ndarray:
+    """The n LLRs as floats; ValueError unless there are n, all finite."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (n,):
+        got = lam.size if lam.ndim == 1 else f"shape {lam.shape}"
+        raise ValueError(f"expected {n} LLR values, got {got}")
+    if not np.isfinite(lam).all():
+        raise ValueError("LLRs must be finite")
+    return lam
+
+
 def hard_decision(lam) -> np.ndarray:
     """Bit 1 where the LLR is negative, bit 0 otherwise (zero resolves to 0)."""
     lam = np.asarray(lam, dtype=float)

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .channels import Biawgn, Bsc, llr, transmit
+from .channels import Biawgn, Bsc, checked_llrs, llr, transmit
 from .decoders import DECODERS, DecoderConfig, lp_decode, make_decoder
 from .formulations import (matrix_adaptation_cut_search, rpc_cycle_cut_search)
 from .gf2 import (LinearCode, load_alist, min_distance_bruteforce,
@@ -53,13 +53,11 @@ def parse_channel(spec: str):
 def _llr_for(args, code) -> np.ndarray:
     if args.llr is not None:
         try:
-            lam = np.array([float(t) for t in args.llr.split(",")])
+            lam = [float(t) for t in args.llr.split(",")]
         except ValueError:
             raise ValueError(f"--llr must be comma separated numbers, "
                              f"got {args.llr!r}") from None
-        if lam.shape != (code.n,):
-            raise ValueError(f"--llr: expected {code.n} LLR values, got {len(lam)}")
-        return lam
+        return checked_llrs(lam, code.n)
     if args.channel is None:
         raise ValueError("need either --llr or --channel")
     channel = parse_channel(args.channel)

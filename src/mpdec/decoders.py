@@ -18,17 +18,18 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .channels import hard_decision
+from .channels import checked_llrs, hard_decision
 # most_violated_fs_cut is unused here but stays importable by this name,
 # where perfbench traces it.
 from .formulations import (FORMULATIONS, Formulation, FsCuts, FsInequality,
-                           build_formulation, matrix_adaptation_cut_search,
+                           _least_certain, build_formulation,
+                           matrix_adaptation_cut_search,
                            most_violated_fs_cut, row_fs_cuts,
                            rpc_cycle_cut_search)
 from .gf2 import LinearCode, _gauss_jordan, syndrome
-from .simplex import (_TIE_EPS, COST_TOL, FEAS_TOL, INTEGRALITY_TOL, LpSolution,
-                      LpSolverError, add_rows_resolve, fix_variable_resolve,
-                      is_integral, make_problem, solve)
+from .simplex import (_TIE_EPS, COST_TOL, FEAS_TOL, LpSolution, LpSolverError,
+                      add_rows_resolve, fix_variable_resolve, is_integral,
+                      make_problem, solve)
 
 
 class DecodeStatus(Enum):
@@ -121,12 +122,18 @@ class DecoderConfig:
             _searcher(s)
 
 
-def _finite(llr) -> np.ndarray:
-    """The LLRs as floats; ValueError unless every one is finite."""
-    llr = np.asarray(llr, dtype=float)
-    if not np.isfinite(llr).all():
-        raise ValueError("LLRs must be finite")
-    return llr
+def _decode(n: int, llr, body) -> DecodeResult:
+    """The frame of every decode: check the n LLRs (`checked_llrs`), run
+    body(llr, stats) -> (status, point, value), give SOLVER_ERROR if it
+    raises LpSolverError, and stamp the wall time."""
+    t0 = time.perf_counter()
+    llr, stats = checked_llrs(llr, n), DecodeStats()
+    try:
+        status, point, value = body(llr, stats)
+    except LpSolverError:
+        status, point, value = DecodeStatus.SOLVER_ERROR, None, math.nan
+    stats.wall_time = time.perf_counter() - t0
+    return DecodeResult(status, point, value, stats)
 
 
 def _certified(code: LinearCode, x) -> bool:
@@ -135,11 +142,6 @@ def _certified(code: LinearCode, x) -> bool:
         return False
     bits = np.round(np.asarray(x, dtype=float)).astype(np.uint8)
     return not syndrome(code.H, bits).any()
-
-
-def _solver_error(stats: DecodeStats, t0: float) -> DecodeResult:
-    stats.wall_time = time.perf_counter() - t0
-    return DecodeResult(DecodeStatus.SOLVER_ERROR, None, math.nan, stats)
 
 
 def _separate_until_clean(sol: LpSolution, stats: DecodeStats, code: LinearCode,
@@ -232,22 +234,20 @@ class _Incumbent:
             floor is not None and value >= self.value - COST_TOL
             and tuple(floor) >= tuple(self.point))
 
-    def result(self, complete: bool, relaxed: LpSolution, stats: DecodeStats,
-               t0: float) -> DecodeResult:
+    def result(self, complete: bool, relaxed: LpSolution):
         """The incumbent (ML_CERTIFIED if the search was complete, else
         CODEWORD_FOUND), or without one the relaxed optimum as
-        FRACTIONAL_FAILURE."""
-        stats.wall_time = time.perf_counter() - t0
+        FRACTIONAL_FAILURE, as (status, point, value)."""
         if self.point is None:
-            return DecodeResult(DecodeStatus.FRACTIONAL_FAILURE,
-                                relaxed.x[:self.code.n].copy(), relaxed.value, stats)
+            return (DecodeStatus.FRACTIONAL_FAILURE, relaxed.x[:self.code.n].copy(),
+                    relaxed.value)
         status = DecodeStatus.ML_CERTIFIED if complete else DecodeStatus.CODEWORD_FOUND
-        return DecodeResult(status, self.point, self.value, stats)
+        return status, self.point, self.value
 
 
-def _search_from_root(code: LinearCode, llr, formulation: str | None,
-                      search=None, separate=None) -> DecodeResult:
-    """The shared scaffold of the LP decoders.
+def _search_from_root(code: LinearCode, formulation: str | None, llr,
+                      stats: DecodeStats, search=None, separate=None):
+    """The body (`_decode`) of the LP decoders.
 
     Solves the root relaxation (`_root`); an integral codeword optimum is
     ML_CERTIFIED, unless branch & bound (`search` and `separate` both
@@ -256,25 +256,18 @@ def _search_from_root(code: LinearCode, llr, formulation: str | None,
     incumbent and returns True if it covered the whole code; the result is
     the incumbent (ML_CERTIFIED after a complete search, else
     CODEWORD_FOUND) or the root pseudocodeword as FRACTIONAL_FAILURE.
-    Solver trouble anywhere gives SOLVER_ERROR.
     """
-    t0 = time.perf_counter()
-    llr = _finite(llr)
-    stats = DecodeStats()
     incumbent = _Incumbent(code, llr)
-    try:
-        form, root = _root(code, llr, formulation, stats, separate)
-        complete = incumbent.offer(root)
-        if search is not None and (separate is not None or not complete):
-            complete = search(form, root, incumbent, stats)
-    except LpSolverError:
-        return _solver_error(stats, t0)
-    return incumbent.result(complete, root, stats, t0)
+    form, root = _root(code, llr, formulation, stats, separate)
+    complete = incumbent.offer(root)
+    if search is not None and (separate is not None or not complete):
+        complete = search(form, root, incumbent, stats)
+    return incumbent.result(complete, root)
 
 
 def lp_decode(code: LinearCode, llr, formulation: str = "fs") -> DecodeResult:
     """Bare LP decoding: solve one relaxation, certify if integral."""
-    return _search_from_root(code, llr, formulation)
+    return _decode(code.n, llr, partial(_search_from_root, code, formulation))
 
 
 def _drop_inactive_rounds(sol: LpSolution, stats: DecodeStats, code: LinearCode,
@@ -310,14 +303,20 @@ def adaptive_lp_decode(code: LinearCode, llr,
     (Taghavi & Siegel 2008; more is a SOLVER_ERROR).  `drop_inactive` keeps
     at most one row per check, at the price of up to 10n + 20 iterations.
     """
-    t0 = time.perf_counter()
     if drop_inactive:
         cap, loop = 10 * code.n + 20, partial(_drop_inactive_rounds, llr=llr)
     else:
         cap, loop = code.n, _separate_until_clean
-    res = _search_from_root(code, llr, None,
-                            separate=partial(loop, code=code, max_rounds=cap + 1))
-    return _solver_error(res.stats, t0) if res.stats.iterations > cap else res
+
+    def separate(sol, stats):
+        sol = loop(sol, stats, code, max_rounds=cap + 1)
+        if stats.iterations > cap:
+            if sol.optimal:
+                stats.final_rows = sol.num_rows
+            raise LpSolverError(f"adaptive LP took more than {cap} rounds")
+        return sol
+
+    return _decode(code.n, llr, partial(_search_from_root, code, None, separate=separate))
 
 
 _SEARCHERS = {
@@ -346,9 +345,9 @@ def cutting_plane_decode(code: LinearCode, llr, searchers=("adaptation",),
     integral codeword optimum is the ML word.
     """
     chain = [_searcher(s) for s in searchers]
-    return _search_from_root(code, llr, base, separate=partial(
+    return _decode(code.n, llr, partial(_search_from_root, code, base, separate=partial(
         _separate_until_clean, code=code, max_rounds=max_rounds, searchers=chain,
-        seed=rng_seed))
+        seed=rng_seed)))
 
 
 def fractional_distance(code: LinearCode, formulation: str = "fs") -> float:
@@ -416,7 +415,7 @@ def facet_guessing_decode(code: LinearCode, llr, num_faces: int | None = None,
                 incumbent.offer(cand)
         return False
 
-    return _search_from_root(code, llr, "fs", search)
+    return _decode(code.n, llr, partial(_search_from_root, code, "fs", search=search))
 
 
 def bit_guessing_decode(code: LinearCode, llr, c: float = 1.0,
@@ -436,14 +435,7 @@ def bit_guessing_decode(code: LinearCode, llr, c: float = 1.0,
                 incumbent.offer(cand)
         return False
 
-    return _search_from_root(code, llr, "fs", search)
-
-
-def _least_certain(x, count: int) -> list[int]:
-    """Up to `count` fractional coordinates, closest to 1/2 first (lowest
-    index among ties)."""
-    frac = [j for j in range(len(x)) if INTEGRALITY_TOL < x[j] < 1 - INTEGRALITY_TOL]
-    return sorted(frac, key=lambda j: (abs(x[j] - 0.5), j))[:count]
+    return _decode(code.n, llr, partial(_search_from_root, code, "fs", search=search))
 
 
 def branch_and_bound_decode(code: LinearCode, llr, formulation: str = "fs",
@@ -482,7 +474,7 @@ def branch_and_bound_decode(code: LinearCode, llr, formulation: str = "fs",
                 incumbent.offer(sol)
             x = sol.x[:n]
             # a pinned bit is integral, and a clean integral point a codeword
-            free = _least_certain(x, 1) or np.flatnonzero((x > 0.5) & (pins < 0)).tolist()
+            free = _least_certain(x)[:1] or np.flatnonzero((x > 0.5) & (pins < 0)).tolist()
             if free and max_depth is not None and depth >= max_depth:
                 exhausted = False
             elif free:
@@ -492,8 +484,9 @@ def branch_and_bound_decode(code: LinearCode, llr, formulation: str = "fs",
                     stack.append((sol, free[0], float(value), depth + 1, child))
         return exhausted
 
-    return _search_from_root(code, llr, None if formulation == "fs" else formulation,
-                             search, separate)
+    return _decode(code.n, llr, partial(
+        _search_from_root, code, None if formulation == "fs" else formulation,
+        search=search, separate=separate))
 
 
 def variable_depth_decode(code: LinearCode, llr, depth: int = 8) -> DecodeResult:
@@ -504,7 +497,7 @@ def variable_depth_decode(code: LinearCode, llr, depth: int = 8) -> DecodeResult
 
     def search(form, root, incumbent, stats):
         level = [root]
-        for t in _least_certain(root.x[:code.n], depth):
+        for t in _least_certain(root.x[:code.n])[:depth]:
             nxt = []
             for sol in level:
                 if incumbent.prunes(sol.value):
@@ -518,7 +511,7 @@ def variable_depth_decode(code: LinearCode, llr, depth: int = 8) -> DecodeResult
             level = nxt
         return False
 
-    return _search_from_root(code, llr, "fs", search)
+    return _decode(code.n, llr, partial(_search_from_root, code, "fs", search=search))
 
 
 def constant_depth_decode(code: LinearCode, llr, depth: int = 8,
@@ -530,7 +523,7 @@ def constant_depth_decode(code: LinearCode, llr, depth: int = 8,
         raise ValueError("need 1 <= subset_size <= depth")
 
     def search(form, root, incumbent, stats):
-        targets = _least_certain(root.x[:code.n], depth)
+        targets = _least_certain(root.x[:code.n])[:depth]
         for positions in combinations(targets, min(subset_size, len(targets))):
             best = None
             for bits in product((0.0, 1.0), repeat=len(positions)):
@@ -541,7 +534,7 @@ def constant_depth_decode(code: LinearCode, llr, depth: int = 8,
                 break
         return False
 
-    return _search_from_root(code, llr, "fs", search)
+    return _decode(code.n, llr, partial(_search_from_root, code, "fs", search=search))
 
 
 def neighborhood_search(code: LinearCode, llr, exchange_depth: int = 1,
@@ -552,7 +545,7 @@ def neighborhood_search(code: LinearCode, llr, exchange_depth: int = 1,
     `max_moves=0` returns the repair start point itself."""
     if exchange_depth not in (1, 2):
         raise ValueError("exchange_depth must be 1 or 2")
-    llr = np.asarray(llr, dtype=float)
+    llr = checked_llrs(llr, code.n)
     n, h = code.n, code.H
     y = hard_decision(llr)
     s = syndrome(h, y)
@@ -609,15 +602,13 @@ def neighborhood_search(code: LinearCode, llr, exchange_depth: int = 1,
     return (y ^ e).astype(np.uint8)
 
 
-def _message_passing(code: LinearCode, llr, max_iterations: int,
-                     use_min_sum: bool) -> DecodeResult:
-    """Flooding on the padded check-major layout, a few whole-array ops per
-    iteration, bit-identical to applying each check's rule in turn.  Padding
-    carries c2v = 0 into the dummy column n: an edgeless check sends nothing."""
-    t0 = time.perf_counter()
-    llr = _finite(llr)
+def _message_passing(code: LinearCode, max_iterations: int, use_min_sum: bool,
+                     llr, stats: DecodeStats):
+    """The body (`_decode`) of flooding on the padded check-major layout, a
+    few whole-array ops per iteration, bit-identical to applying each check's
+    rule in turn.  Padding carries c2v = 0 into the dummy column n: an
+    edgeless check sends nothing."""
     n = code.n
-    stats = DecodeStats()
     cols, mask = code.H.layout.cols, code.H.layout.mask
     positions = np.arange(cols.shape[1])
     c2v = np.zeros(cols.shape)
@@ -648,13 +639,9 @@ def _message_passing(code: LinearCode, llr, max_iterations: int,
         totals[:n] += llr
         bits = (totals[:n] < 0).astype(np.uint8)
         if not syndrome(code.H, bits).any():
-            stats.wall_time = time.perf_counter() - t0
-            return DecodeResult(DecodeStatus.CODEWORD_FOUND, bits,
-                                float(llr @ bits), stats)
-    stats.wall_time = time.perf_counter() - t0
+            return DecodeStatus.CODEWORD_FOUND, bits, float(llr @ bits)
     probs = 1.0 / (1.0 + np.exp(np.clip(totals[:n], -50, 50)))
-    return DecodeResult(DecodeStatus.FRACTIONAL_FAILURE, probs,
-                        float(llr @ probs), stats)
+    return DecodeStatus.FRACTIONAL_FAILURE, probs, float(llr @ probs)
 
 
 def min_sum_decode(code: LinearCode, llr, max_iterations: int = 50) -> DecodeResult:
@@ -662,7 +649,7 @@ def min_sum_decode(code: LinearCode, llr, max_iterations: int = 50) -> DecodeRes
     The output is never ML-certified."""
     if max_iterations < 1:
         raise ValueError("max_iterations must be positive")
-    return _message_passing(code, llr, max_iterations, use_min_sum=True)
+    return _decode(code.n, llr, partial(_message_passing, code, max_iterations, True))
 
 
 def sum_product_decode(code: LinearCode, llr, max_iterations: int = 50) -> DecodeResult:
@@ -670,7 +657,7 @@ def sum_product_decode(code: LinearCode, llr, max_iterations: int = 50) -> Decod
     zero-syndrome hard decision."""
     if max_iterations < 1:
         raise ValueError("max_iterations must be positive")
-    return _message_passing(code, llr, max_iterations, use_min_sum=False)
+    return _decode(code.n, llr, partial(_message_passing, code, max_iterations, False))
 
 
 _DECODERS = {

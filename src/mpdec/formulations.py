@@ -18,10 +18,9 @@ import numpy as np
 
 from .gf2 import (BinaryMatrix, LinearCode, _gauss_jordan, padded_supports,
                   set_bits)
-from .simplex import LpProblem, LpRow, Rows, make_problem
+from .simplex import INTEGRALITY_TOL, LpProblem, LpRow, Rows, make_problem
 
 MAX_CHECK_DEGREE = 25
-FRAC_TOL = 1e-6
 CUT_TOL = 1e-6
 
 FORMULATIONS = ("fs", "config", "count", "cascade", "edge", "parity_relax")
@@ -411,9 +410,15 @@ def rpc_from_rows(h: BinaryMatrix, row_indices) -> tuple[int, ...]:
     return set_bits(word)
 
 
-def _fractional_indices(x, tol: float = FRAC_TOL) -> list[int]:
+def _fractional_indices(x, tol: float = INTEGRALITY_TOL) -> list[int]:
     x = np.asarray(x, dtype=float)
     return [int(j) for j in np.flatnonzero((x > tol) & (x < 1.0 - tol))]
+
+
+def _least_certain(x) -> list[int]:
+    """The fractional coordinates, closest to 1/2 first (lowest index among
+    ties)."""
+    return sorted(_fractional_indices(x), key=lambda j: (abs(x[j] - 0.5), j))
 
 
 def rpc_cycle_cut_search(h: BinaryMatrix, x, rng_seed: int = 0,
@@ -485,15 +490,15 @@ def matrix_adaptation_cut_search(h: BinaryMatrix, x) -> Sequence[FsInequality]:
     are separated as one batch, in row order.
     """
     x = np.asarray(x, dtype=float)
-    frac = _fractional_indices(x)
+    frac = _least_certain(x)
     if not frac:
         return []
     rows = list(h.rows)
-    _gauss_jordan(rows, sorted(frac, key=lambda j: (abs(x[j] - 0.5), j)))
+    _gauss_jordan(rows, frac)
     return _separate_words(h, rows, x)
 
 
-def has_lonely_fractional_neighbor(supports, x, tol: float = FRAC_TOL) -> bool:
+def has_lonely_fractional_neighbor(supports, x, tol: float = INTEGRALITY_TOL) -> bool:
     """True if some check sees exactly one fractional variable (a state
     that cannot occur at a vertex of the fundamental polytope)."""
     x = np.asarray(x, dtype=float)

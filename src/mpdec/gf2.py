@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channels import checked_llrs
 from .simplex import COST_TOL
 
 _TABLE_DIM = 16  # basis words summed into `LinearCode.codeword_table`
@@ -322,9 +323,7 @@ def ml_bruteforce(code: LinearCode, llr) -> tuple[np.ndarray, float]:
     lexicographically smallest of them wins (the rule of the LP searches'
     incumbent), so the oracle is deterministic.
     """
-    llr = np.asarray(llr, dtype=float)
-    if llr.shape != (code.n,):
-        raise ValueError("llr length mismatch")
+    llr = checked_llrs(llr, code.n)
     if code.k <= _TABLE_DIM:
         table = code.codeword_table
         return least_cost_word(table, table @ llr)

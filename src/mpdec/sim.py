@@ -81,8 +81,9 @@ class SimRecord:
         return self.frame_errors / self.frames if self.frames else 0.0
 
 
-def fer_confidence(record: SimRecord, z: float = 1.96) -> tuple[float, float]:
+def fer_confidence(record: SimRecord) -> tuple[float, float]:
     """95% Wilson score interval for the frame error rate."""
+    z = 1.96
     n = record.frames
     if n < 1:
         raise ValueError("need at least one frame")

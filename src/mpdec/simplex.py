@@ -740,9 +740,9 @@ def fix_variable_resolve(solution: LpSolution, j, value) -> LpSolution:
     return _resolve(engine)
 
 
-def is_integral(x, tol: float = INTEGRALITY_TOL) -> bool:
+def is_integral(x) -> bool:
     x = np.asarray(x, dtype=float)
-    return bool(np.all(np.abs(x - np.round(x)) <= tol))
+    return bool(np.all(np.abs(x - np.round(x)) <= INTEGRALITY_TOL))
 
 
 def dump_lp(problem: LpProblem) -> str:

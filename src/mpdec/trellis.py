@@ -12,12 +12,12 @@ contributing the systematic bits to the objective.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decoders import DecodeResult, DecodeStats, DecodeStatus, _solver_error
+from .channels import checked_llrs
+from .decoders import DecodeResult, DecodeStatus, _decode
 from .gf2 import least_cost_word
 from .simplex import LpProblem, LpRow, LpSolverError, is_integral, make_problem, solve
 
@@ -31,7 +31,6 @@ class FsmSpec:
 
     num_states: int
     table: tuple[tuple[int, int, int, tuple[int, ...]], ...]
-    systematic: bool = True
     _steps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -125,21 +124,20 @@ class Trellis:
             yield from seg
 
 
-def build_trellis(fsm: FsmSpec, k: int, start_state: int = 0,
-                  end_state: int = 0) -> Trellis:
+def build_trellis(fsm: FsmSpec, k: int) -> Trellis:
     """Unfold the state diagram over k steps, pruned to edges that are both
-    reachable from the start state and co-reachable from the end state."""
+    reachable from state 0 and co-reachable from state 0 at step k."""
     if k < 1:
         raise ValueError("k must be positive")
     reach = [set() for _ in range(k + 1)]
-    reach[0].add(start_state)
+    reach[0].add(0)
     for t in range(k):
         for s in reach[t]:
             for u in (0, 1):
                 s2, _ = fsm.step(s, u)
                 reach[t + 1].add(s2)
     co = [set() for _ in range(k + 1)]
-    co[k].add(end_state)
+    co[k].add(0)
     back: dict[int, list[tuple[int, int]]] = {}
     for s, u, s2, _ in fsm.table:
         back.setdefault(s2, []).append((s, u))
@@ -147,7 +145,7 @@ def build_trellis(fsm: FsmSpec, k: int, start_state: int = 0,
         for s2 in co[t + 1]:
             for s, _ in back.get(s2, ()):
                 co[t].add(s)
-    if start_state not in co[0]:
+    if 0 not in co[0]:
         raise ValueError("no path from the start state to the terminal state")
     segments = []
     eid = 0
@@ -235,7 +233,7 @@ def turbo_ml_bruteforce(spec: TurboSpec, llr) -> tuple[np.ndarray, float]:
     """
     if spec.k > 20:
         raise ValueError("k too large to enumerate")
-    llr = np.asarray(llr, dtype=float)
+    llr = checked_llrs(llr, 3 * spec.k)
     words = np.empty((1 << spec.k, 3 * spec.k), dtype=np.uint8)
     costs = np.empty(1 << spec.k)
     count = 0
@@ -279,9 +277,7 @@ def build_turbo_lp(spec: TurboSpec, llr):
     through the interleaver.
     """
     k = spec.k
-    llr = np.asarray(llr, dtype=float)
-    if llr.shape != (3 * k,):
-        raise ValueError("llr must have length 3k")
+    llr = checked_llrs(llr, 3 * k)
     t = build_trellis(spec.fsm, k)
     col_a = {e.edge_id: 3 * k + i for i, e in enumerate(t.edges())}
     col_b = {eid: col + t.num_edges for eid, col in col_a.items()}
@@ -301,23 +297,18 @@ def build_turbo_lp(spec: TurboSpec, llr):
 def turbo_lp_decode(spec: TurboSpec, llr) -> DecodeResult:
     """LP decoding of the coupled flow relaxation; an integral flow is the
     ML codeword."""
-    t0 = time.perf_counter()
-    llr = np.asarray(llr, dtype=float)
-    stats = DecodeStats()
-    try:
-        lp, _ = build_turbo_lp(spec, llr)
-        sol = stats.tally(solve(lp))
-    except LpSolverError:
-        return _solver_error(stats, t0)
-    if not sol.optimal:
-        return _solver_error(stats, t0)
-    stats.wall_time = time.perf_counter() - t0
-    x = sol.x[:3 * spec.k]
-    if is_integral(sol.x):
-        codeword = np.round(x).astype(np.uint8)
-        return DecodeResult(DecodeStatus.ML_CERTIFIED, codeword,
-                            float(llr @ codeword), stats)
-    return DecodeResult(DecodeStatus.FRACTIONAL_FAILURE, x.copy(), sol.value, stats)
+
+    def body(llr, stats):
+        sol = stats.tally(solve(build_turbo_lp(spec, llr)[0]))
+        if not sol.optimal:
+            raise LpSolverError("turbo flow LP not optimal")
+        x = sol.x[:3 * spec.k]
+        if is_integral(sol.x):
+            codeword = np.round(x).astype(np.uint8)
+            return DecodeStatus.ML_CERTIFIED, codeword, float(llr @ codeword)
+        return DecodeStatus.FRACTIONAL_FAILURE, x.copy(), sol.value
+
+    return _decode(3 * spec.k, llr, body)
 
 
 def turbo_lagrangian_decode(spec: TurboSpec, llr, max_iterations: int = 50
@@ -333,7 +324,7 @@ def turbo_lagrangian_decode(spec: TurboSpec, llr, max_iterations: int = 50
     if max_iterations < 1:
         raise ValueError("max_iterations must be positive")
     k = spec.k
-    llr = np.asarray(llr, dtype=float)
+    llr = checked_llrs(llr, 3 * k)
     lam_s, lam_a, lam_b = llr[:k], llr[k:2 * k], llr[2 * k:]
     t = build_trellis(spec.fsm, k)
     # per-edge arrays, indexed by edge_id (build_trellis numbers edges in order)

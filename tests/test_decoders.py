@@ -1,6 +1,8 @@
 """Decoder behavior against enumeration oracles."""
 
 import math
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +19,10 @@ from mpdec.formulations import has_lonely_fractional_neighbor
 from mpdec.gf2 import (BinaryMatrix, LinearCode, min_distance_bruteforce,
                        ml_bruteforce, random_regular_ldpc, spc_product_code,
                        syndrome)
+from mpdec.simplex import LpSolverError, LpStatus, solve
+from mpdec.trellis import (TurboSpec, accumulator_fsm, build_turbo_lp,
+                           turbo_lagrangian_decode, turbo_lp_decode,
+                           turbo_ml_bruteforce)
 
 from conftest import fractional_instance, random_forest_code, random_sparse_code
 
@@ -374,15 +380,67 @@ def test_cutting_plane_names_a_bad_searcher(code84):
         cutting_plane_decode(code84, np.ones(8), searchers=("foo",))
 
 
+def llr_takers(code84):
+    """Every function that takes LLRs, as (name, n, f(llr))."""
+    spec = TurboSpec(accumulator_fsm(), (2, 0, 3, 1), 4)
+    takers = [(name, 8, partial(make_decoder(name), code84)) for name in DECODERS]
+    takers += [(f.__name__, 8, partial(f, code84)) for f in (neighborhood_search, ml_bruteforce)]
+    takers += [(f.__name__, 12, partial(f, spec))
+               for f in (turbo_lp_decode, turbo_lagrangian_decode, build_turbo_lp,
+                         turbo_ml_bruteforce)]
+    return takers
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_llrs_are_rejected(code84, bad):
     # nan ended in numpy's empty-argmax error or in a decode of value nan,
-    # and +-inf sent branch & bound to the same argmax error
-    lam = np.ones(8)
-    lam[3] = bad
-    for name in DECODERS:
+    # and +-inf sent branch & bound to the same argmax error; the turbo LP
+    # certified a nan frame, neighborhood search repaired one and both
+    # oracles stopped at "min() arg is an empty sequence"
+    for name, n, f in llr_takers(code84):
+        lam = np.ones(n)
+        lam[3] = bad
         with pytest.raises(ValueError, match="LLRs must be finite"):
-            make_decoder(name)(code84, lam)
+            f(lam)
+
+
+def test_llrs_of_the_wrong_length_are_rejected(code84):
+    # the message passers gave numpy's broadcast error and the Lagrangian
+    # decoder an IndexError
+    for name, n, f in llr_takers(code84):
+        for lam in (np.ones(n - 1), np.ones(n + 1), np.ones((1, n)), 1.0):
+            with pytest.raises(ValueError, match=f"expected {n} LLR values"):
+                f(lam)
+
+
+def test_solver_trouble_mid_decode_is_a_solver_error(code84, monkeypatch):
+    # the frame keeps the counters of every solve finished before the error
+    from mpdec import decoders, trellis
+    lam, root = fractional_instance(code84, np.random.default_rng(5), lp_decode)
+    real, done = decoders.fix_variable_resolve, []
+
+    def failing(sol, *pin):
+        if len(done) == 3:
+            raise LpSolverError("planted")
+        done.append(real(sol, *pin))
+        return done[-1]
+
+    monkeypatch.setattr(decoders, "fix_variable_resolve", failing)
+    res = bit_guessing_decode(code84, lam)
+    assert res.status is DecodeStatus.SOLVER_ERROR
+    assert res.point is None and math.isnan(res.value)
+    assert res.stats.lp_solves == 4 and res.stats.final_rows == root.stats.final_rows
+    assert res.stats.pivots == root.stats.pivots + sum(sol.pivots for sol in done)
+    assert res.stats.wall_time > 0
+
+    spec = TurboSpec(accumulator_fsm(), (2, 0, 3, 1), 4)
+    solved = []
+    monkeypatch.setattr(trellis, "solve", lambda lp: solved.append(solve(lp)) or replace(
+        solved[-1], status=LpStatus.INFEASIBLE))
+    res = turbo_lp_decode(spec, np.linspace(-1.0, 1.0, 12))
+    assert res.status is DecodeStatus.SOLVER_ERROR
+    assert res.point is None and math.isnan(res.value)
+    assert res.stats.lp_solves == 1 and res.stats.pivots == solved[0].pivots
 
 
 def test_certified_value_is_exact_codeword_cost(code84):
