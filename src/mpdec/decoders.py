@@ -273,19 +273,28 @@ def lp_decode(code: LinearCode, llr, formulation: str = "fs") -> DecodeResult:
 def _drop_inactive_rounds(sol: LpSolution, stats: DecodeStats, code: LinearCode,
                           llr, max_rounds: int) -> LpSolution:
     """Adaptive LP's drop mode: each round keeps one tight row per check,
-    separates the other checks and re-solves from scratch over both."""
+    separates the other checks and re-solves from scratch over both.  Once
+    a round would solve a row set it has already solved, every row is kept
+    from then on (`solved` None), so the rounds cannot cycle."""
     current: list[FsInequality] = []
+    solved: set[frozenset[FsInequality]] | None = set()
     while sol.optimal and stats.iterations < max_rounds:
         x = sol.x[:code.n]
+        cuts = list(row_fs_cuts(code.H, x))
         kept: list[FsInequality] = []
         skip: set[int] = set()
-        for ineq in current:
+        for ineq in current if solved is not None else ():
             if ineq.check not in skip and abs(ineq.violation(x)) <= FEAS_TOL:
                 kept.append(ineq)
                 skip.add(ineq.check)
-        new = [cut for cut in row_fs_cuts(code.H, x) if cut.check not in skip]
+        new = [cut for cut in cuts if cut.check not in skip]
         if not new:
             break
+        rows = frozenset(kept + new)
+        if solved is None or rows in solved:
+            solved, kept, new = None, current, cuts
+        else:
+            solved.add(rows)
         current = kept + new
         sol = stats.tally(solve(make_problem(code.n, llr, [c.as_lp_row() for c in current])))
         stats.cuts_added += len(new)

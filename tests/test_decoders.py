@@ -104,6 +104,18 @@ def test_adaptive_drop_inactive_row_budget(code84):
         assert res.stats.final_rows <= code84.m
 
 
+@pytest.mark.parametrize("trial", [10, 262])
+def test_adaptive_drop_inactive_does_not_cycle(trial):
+    # two seed-3 full_lp_n32 frames on which drop mode cycled through the
+    # same row sets for 341 rounds and ended in solver_error
+    code, lam = full_lp_n32_frame(3, trial)
+    res = adaptive_lp_decode(code, lam, drop_inactive=True)
+    ref = lp_decode(code, lam)
+    assert res.status is ref.status is DecodeStatus.FRACTIONAL_FAILURE
+    assert abs(res.value - ref.value) < 1e-6
+    assert res.stats.iterations <= code.n
+
+
 def test_cutting_plane_integral_base_no_rounds(code84):
     res = cutting_plane_decode(code84, np.full(8, 0.4))
     assert res.status is DecodeStatus.ML_CERTIFIED
@@ -704,8 +716,10 @@ def decoder_battery():
 
 def test_decoder_outputs_are_pinned():
     # answers and work counters of 13 decoder runs on 54 frames and of
-    # fractional distance, recorded before the LP type was last reshaped; a
-    # change meant to move pivots re-records only the work digest
+    # fractional distance, recorded before the LP type was last reshaped and
+    # re-recorded when adaptive LP's drop mode stopped cycling (n=32 frame 10
+    # went from solver_error to fractional_failure); a change meant to move
+    # pivots re-records only the work digest
     import os
     import subprocess
     import sys
@@ -719,5 +733,5 @@ def test_decoder_outputs_are_pinned():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     answers, work = proc.stdout.split()
-    assert answers == "be6a4a2e564b01cf852e8b40a9fda365c91cdef757a05be36a0021af84a4e141"
-    assert work == "6e61f959840587bc5db803082d68a4fe024cd995428299ffa70383560411dd37"
+    assert answers == "e40acf22ce5471acb5163a0467d8031d9a35a03b5c0da0afbb90dcac619252a5"
+    assert work == "84aa137f02add94c6cbdbe9b0f3e63387278c07471b9f7fa64b56e6ff96aec6a"
