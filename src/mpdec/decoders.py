@@ -22,14 +22,11 @@ from .channels import checked_llrs, hard_decision
 # most_violated_fs_cut is unused here but stays importable by this name,
 # where perfbench traces it.
 from .formulations import (FORMULATIONS, Formulation, FsCuts, FsInequality,
-                           _least_certain, build_formulation,
-                           matrix_adaptation_cut_search,
-                           most_violated_fs_cut, row_fs_cuts,
-                           rpc_cycle_cut_search)
+                           _least_certain, build_formulation, matrix_adaptation_cut_search,
+                           most_violated_fs_cut, row_fs_cuts, rpc_cycle_cut_search)
 from .gf2 import LinearCode, _gauss_jordan, syndrome
 from .simplex import (_TIE_EPS, COST_TOL, FEAS_TOL, LpSolution, LpSolverError,
-                      add_rows_resolve, fix_variable_resolve, is_integral,
-                      make_problem, solve)
+                      add_rows_resolve, fix_variable_resolve, is_integral, make_problem, solve)
 
 
 class DecodeStatus(Enum):
@@ -247,7 +244,7 @@ class _Incumbent:
 
 def _search_from_root(code: LinearCode, formulation: str | None, llr,
                       stats: DecodeStats, search=None, separate=None):
-    """The body (`_decode`) of the LP decoders.
+    """The `_decode` body of the LP decoders.
 
     Solves the root relaxation (`_root`); an integral codeword optimum is
     ML_CERTIFIED, unless branch & bound (`search` and `separate` both
@@ -281,8 +278,7 @@ def _drop_inactive_rounds(sol: LpSolution, stats: DecodeStats, code: LinearCode,
     while sol.optimal and stats.iterations < max_rounds:
         x = sol.x[:code.n]
         cuts = list(row_fs_cuts(code.H, x))
-        kept: list[FsInequality] = []
-        skip: set[int] = set()
+        kept, skip = [], set()
         for ineq in current if solved is not None else ():
             if ineq.check not in skip and abs(ineq.violation(x)) <= FEAS_TOL:
                 kept.append(ineq)
@@ -290,11 +286,10 @@ def _drop_inactive_rounds(sol: LpSolution, stats: DecodeStats, code: LinearCode,
         new = [cut for cut in cuts if cut.check not in skip]
         if not new:
             break
-        rows = frozenset(kept + new)
-        if solved is None or rows in solved:
-            solved, kept, new = None, current, cuts
-        else:
+        if solved is not None and (rows := frozenset(kept + new)) not in solved:
             solved.add(rows)
+        else:
+            solved, kept, new = None, current, cuts
         current = kept + new
         sol = stats.tally(solve(make_problem(code.n, llr, [c.as_lp_row() for c in current])))
         stats.cuts_added += len(new)
@@ -613,8 +608,8 @@ def neighborhood_search(code: LinearCode, llr, exchange_depth: int = 1,
 
 def _message_passing(code: LinearCode, max_iterations: int, use_min_sum: bool,
                      llr, stats: DecodeStats):
-    """The body (`_decode`) of flooding on the padded check-major layout, a
-    few whole-array ops per iteration, bit-identical to applying each check's
+    """Flooding, as a `_decode` body, on the padded check-major layout: a few
+    whole-array ops per iteration, bit-identical to applying each check's
     rule in turn.  Padding carries c2v = 0 into the dummy column n: an
     edgeless check sends nothing."""
     n = code.n

@@ -416,8 +416,7 @@ def _fractional_indices(x, tol: float = INTEGRALITY_TOL) -> list[int]:
 
 
 def _least_certain(x) -> list[int]:
-    """The fractional coordinates, closest to 1/2 first (lowest index among
-    ties)."""
+    """The fractional coordinates, closest to 1/2 first, ties by lowest index."""
     return sorted(_fractional_indices(x), key=lambda j: (abs(x[j] - 0.5), j))
 
 
