@@ -14,6 +14,14 @@ engine's arrays over them, all built when the problem is made.
 `LpProblem.with_objective` shares all but the objective, so a row block kept
 per code costs no per-row work per frame.
 
+It is presolved there too.  A row i whose first column singleton j meets
+it whatever the rest of the row does over the box (s_max + min a_ij x_j <=
+hi_i and s_min + max a_ij x_j >= lo_i) only defines x_j, as Hx = 2z does on
+even-degree checks (Andersen & Andersen, Math. Prog. 1995).  If all such x_j
+cost 0, the engine leaves those rows out: x_j is in no row and never enters,
+the solution sets row i's activity to the nearest point of its bounds, and
+a pin on x_j or an added row touching it first puts the rows back.
+
 The basis inverse is never stored whole.  With S the k basic structural
 columns, T the k rows whose logicals are nonbasic and L the other rows,
 K = A[T, S] is k x k (k <= min(n, m)) and
@@ -31,13 +39,13 @@ from the slack basis with each structural at the bound its cost favours:
 there y = 0 and the reduced costs are the costs, so that basis is dual
 feasible, and on a decoding LP it is the hard decision.  Before the first
 pivot it is crashed: each zero-cost column singleton (a structural of cost
-0 with one nonzero in A, such as the parity relaxation's z_i) whose row is
-violated replaces that row's logical, which leaves at the bound its row
-violated.  K stays diagonal and the basic costs 0, so the start stays dual
-feasible; which columns are singletons is computed once per row block.
-Only violated rows are then pivoted on.  A basis that ends primal feasible
-while something still prices in is repaired by moving those nonbasics to
-their other bound and running the dual simplex again.
+0 with one nonzero in A, such as z_i of Hx = 2z on a check of odd degree)
+whose row is violated replaces that row's logical, which leaves at the
+bound its row violated.  K stays diagonal and the basic costs 0, so the
+start stays dual feasible; which columns are singletons is computed once
+per row block.  Only violated rows are then pivoted on.  A basis that ends
+primal feasible while something still prices in is repaired by moving
+those nonbasics to their other bound and running the dual simplex again.
 
 Solver states are reusable: `add_rows_resolve` and `fix_variable_resolve`
 clone the state and re-solve with the dual simplex from the old basis,
@@ -163,11 +171,41 @@ def _singleton_rows(a: np.ndarray) -> np.ndarray:
     return np.where(nz.sum(axis=0) == 1, nz.argmax(axis=0), -1)
 
 
+class _Presolve(NamedTuple):
+    """What the engine takes (`kept`, `singles`) and leaves out (`dropped`, `cols`, `coef`)."""
+
+    kept: Rows
+    singles: np.ndarray
+    dropped: Rows
+    cols: np.ndarray
+    coef: np.ndarray
+
+
+def _presolve(p: LpProblem) -> _Presolve | None:
+    """The rows of p that only define a column (see the module doc), or None;
+    the rest of row i spans [least_i - z_min, most_i - z_max]."""
+    rows, lo, hi = p.rows, p.lower, p.upper
+    at, cols = np.unique(p.singles, return_index=True)  # each row's first singleton
+    at, cols = at[at >= 0], cols[at >= 0]
+    coef = rows.a[at, cols]
+    least, most, _ = _row_bounds(rows.a[at], -math.inf, math.inf, lo, hi)
+    z_min, z_max = np.sort([coef * lo[cols], coef * hi[cols]], axis=0)
+    go = (most - z_max + z_min <= rows.hi[at]) & (least - z_min + z_max >= rows.lo[at])
+    if not go.any():
+        return None
+    keep = ~np.isin(np.arange(len(rows)), at[go])
+    return _Presolve(Rows(rows.a[keep], p.row_lo[keep], p.row_hi[keep]),
+                     _singleton_rows(rows.a[keep]),
+                     Rows(rows.a[~keep], rows.lo[~keep], rows.hi[~keep]), cols[go], coef[go])
+
+
 def _read_only(values, n: int, what: str) -> np.ndarray:
-    """A read-only float copy of values, which must have shape (n,)."""
+    """A read-only float copy of values, which must be n finite numbers."""
     out = np.array(values, dtype=float)
     if out.shape != (n,):
         raise ValueError(f"{what} length mismatch")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} must be finite")
     out.flags.writeable = False
     return out
 
@@ -180,26 +218,25 @@ class LpProblem:
     over them, `row_lo` and `row_hi` (m,), the rows' sense bounds tightened to
     each row's activity range over the box, and `singles` (n,), the row of
     each column with one nonzero, else -1.  `bad_bounds` is True when some
-    row cannot be met inside the box.
+    row cannot be met inside the box; `presolved` is what `_presolve` drops.
     """
 
     def __init__(self, num_vars: int, objective, rows, lower, upper):
         self.objective = _read_only(objective, num_vars, "objective")
         self.lower = lo = _read_only(lower, num_vars, "bounds")
         self.upper = hi = _read_only(upper, num_vars, "bounds")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValueError("bounds must be finite")
         if (lo > hi).any():
             raise ValueError("lower bound exceeds upper bound")
         self.rows = rows = Rows.parse(rows, num_vars)
+        self.singles = _singleton_rows(rows.a)
         if len(rows):
             self.row_lo, self.row_hi, self.bad_bounds = _row_bounds(
                 rows.a, rows.lo, rows.hi, lo, hi)
             frozen = (rows.a, rows.lo, rows.hi, self.row_lo, self.row_hi)
+            self.presolved = _presolve(self)
         else:  # the box LP, made once per frame: nothing to tighten or freeze
             self.row_lo, self.row_hi, self.bad_bounds = rows.lo, rows.hi, False
-            frozen = ()
-        self.singles = _singleton_rows(rows.a)
+            frozen, self.presolved = (), None
         for arr in frozen + (self.singles,):
             arr.flags.writeable = False
 
@@ -245,8 +282,8 @@ class LpSolution:
 
     @property
     def num_rows(self) -> int:
-        """Rows of the LP that was solved."""
-        return self.state.m
+        """Rows of the LP that was solved, those the engine left out included."""
+        return self.state.m + len(self.state.presolved.cols if self.state.presolved else ())
 
 
 class _Engine:
@@ -254,7 +291,7 @@ class _Engine:
 
     Columns 0..n-1 are structural, column n + i is row i's logical; only A
     is stored.  `a` and `c` are never written in place, so clones share them
-    until `add_rows` replaces them.
+    until `add_rows` replaces them.  `presolved` holds the rows it left out.
 
     B^-1 is kept as its k tight-row columns (see the module doc).  `_order`
     lists the rows tight first: `_order[:k]` are the rows of `_w`, whose row
@@ -265,14 +302,17 @@ class _Engine:
     """
 
     def __init__(self, problem: LpProblem):
-        n, m = problem.num_vars, len(problem.rows)
+        p = problem.presolved
+        self.presolved = p = None if p is None or problem.objective[p.cols].any() else p
+        rows, self.singles = (p.kept, p.singles) if p else (  # singles: see _crash
+            Rows(problem.rows.a, problem.row_lo, problem.row_hi), problem.singles)
+        n, m = problem.num_vars, len(rows)
         self.nstruct = n
-        self.a = problem.rows.a
+        self.a = rows.a
         self.c = np.concatenate([problem.objective, np.zeros(m)])
-        self.lo = np.concatenate([problem.lower, problem.row_lo])
-        self.hi = np.concatenate([problem.upper, problem.row_hi])
+        self.lo = np.concatenate([problem.lower, rows.lo])
+        self.hi = np.concatenate([problem.upper, rows.hi])
         self.bad_bounds = problem.bad_bounds
-        self.singles = problem.singles  # None once rows are added; see _crash
         self.basis = np.arange(n, n + m)
         self.status = np.full(n + m, _AT_LOWER, dtype=np.int8)
         self.status[self.basis] = _BASIC
@@ -413,8 +453,6 @@ class _Engine:
         """c - y [A | -I] with y = c_B B^-1; logicals cost nothing, so y is
         zero off the tight rows and the logical part is y itself."""
         c = self.c
-        if self.m == 0:
-            return c.copy()
         n, k, order = self.nstruct, self._k, self._order
         y_t = self._w[:k] @ c[self.basis]
         d = np.zeros(len(c))
@@ -423,8 +461,6 @@ class _Engine:
         return d
 
     def _max_violation(self) -> float:
-        if self.m == 0:
-            return 0.0
         below = self.lo[self.basis] - self.x_basic
         above = self.x_basic - self.hi[self.basis]
         return float(max(below.max(initial=0.0), above.max(initial=0.0)))
@@ -582,12 +618,12 @@ class _Engine:
         """
         n = self.nstruct
         cand = self.c[:n] == 0
-        if not cand.any():
-            return
         if self.singles is None:
             self.singles = _singleton_rows(self.a)
         cand &= (self.singles >= 0) & (self.hi[:n] > self.lo[:n])
         cols = cand.nonzero()[0]
+        if not len(cols):
+            return
         rows = self.singles[cols]
         x = np.where(self.status[:n] == _AT_UPPER, self.hi[:n], self.lo[:n])
         act = self.a[rows] @ x
@@ -619,6 +655,8 @@ class _Engine:
         kr = len(rows)
         if kr == 0:
             return
+        if self.presolved is not None and rows.a[:, self.presolved.cols].any():
+            self._restore()
         n, m_old = self.nstruct, self.m
         x_old = self.values()
         block = rows.a
@@ -665,6 +703,8 @@ class _Engine:
         if lo < self.lo[j] or hi > self.hi[j]:
             raise ValueError(f"bounds [{lo:g}, {hi:g}] are not inside variable {j}'s "
                              f"current [{self.lo[j]:g}, {self.hi[j]:g}]")
+        if self.presolved is not None and j in self.presolved.cols:
+            self._restore()
         if self.status[j] == _BASIC:
             self.lo[j], self.hi[j] = lo, hi
             return
@@ -674,6 +714,11 @@ class _Engine:
         if new != old:
             self.x_basic -= self._column(j) * (new - old)
         self.status[j] = _AT_LOWER if abs(new - lo) <= abs(new - hi) else _AT_UPPER
+
+    def _restore(self):
+        """Append the rows the presolve dropped back, their logicals basic."""
+        p, self.presolved = self.presolved, None
+        self.add_rows(p.dropped)
 
     # -- extraction ------------------------------------------------------------
 
@@ -689,8 +734,12 @@ def _finish(engine: _Engine, status: LpStatus, warm_fallback: bool = False) -> L
     if status is LpStatus.INFEASIBLE:
         return LpSolution(LpStatus.INFEASIBLE, None, math.inf, engine, **counts)
     x = engine.values()
-    return LpSolution(LpStatus.OPTIMAL, x[:engine.nstruct], float(engine.c @ x), engine,
-                      **counts)
+    value, x, p = float(engine.c @ x), x[:engine.nstruct], engine.presolved
+    if p is not None:  # put each left-out row's activity nearest into its bounds
+        s = p.dropped.a @ x - p.coef * x[p.cols]
+        t = (np.minimum(np.maximum(s, p.dropped.lo), p.dropped.hi) - s) / p.coef
+        x[p.cols] = np.minimum(np.maximum(t, engine.lo[p.cols]), engine.hi[p.cols])
+    return LpSolution(LpStatus.OPTIMAL, x, value, engine, **counts)
 
 
 def solve(problem: LpProblem) -> LpSolution:

@@ -624,6 +624,30 @@ def test_dual_reduced_costs_follow_the_pivots(monkeypatch):
     assert checked[0] > 1000 and worst[0] <= 1e-9
 
 
+def test_cutting_plane_over_presolved_parity_rows_is_adaptive_lp():
+    # the cuts_n120 code's checks all have even degree, so the presolve drops
+    # every row of the parity relaxation and its z columns never enter: with
+    # no searcher, cutting-plane decoding takes adaptive LP's rounds and
+    # pivots and gives its answers bit for bit; its final rows count the 60
+    # dropped parity rows
+    from mpdec.channels import Biawgn, llr, transmit, trial_rng
+    code = random_regular_ldpc(120, 3, 6, 620)
+    channel = Biawgn(0.75)
+    fractional = 0
+    for t in range(100):
+        lam = llr(transmit(np.zeros(120, dtype=np.uint8), channel, trial_rng(3, 0, t)), channel)
+        ref, res = adaptive_lp_decode(code, lam), cutting_plane_decode(code, lam, searchers=())
+        assert (res.status, res.value) == (ref.status, ref.value), t
+        assert np.array_equal(res.point, ref.point), t
+        fractional += res.status is DecodeStatus.FRACTIONAL_FAILURE
+        work, ref_work = res.stats, ref.stats
+        assert ((work.pivots, work.iterations, work.cuts_added, work.lp_solves)
+                == (ref_work.pivots, ref_work.iterations, ref_work.cuts_added,
+                    ref_work.lp_solves)), t
+        assert work.final_rows == ref_work.final_rows + 60, t
+    assert fractional > 0
+
+
 def test_separation_block_matches_lp_rows(code84, monkeypatch):
     # the separation loop hands add_rows_resolve its cuts as one Rows block
     # built from the separation arrays; it must be, bit for bit, what
@@ -719,7 +743,8 @@ def test_decoder_outputs_are_pinned():
     # fractional distance, recorded before the LP type was last reshaped and
     # re-recorded when adaptive LP's drop mode stopped cycling (n=32 frame 10
     # went from solver_error to fractional_failure); a change meant to move
-    # pivots re-records only the work digest
+    # pivots re-records only the work digest, as the presolve of the parity
+    # rows did (cutting_plane's pivots on the n=32 and n=60 codes)
     import os
     import subprocess
     import sys
@@ -734,4 +759,4 @@ def test_decoder_outputs_are_pinned():
     assert proc.returncode == 0, proc.stderr
     answers, work = proc.stdout.split()
     assert answers == "e40acf22ce5471acb5163a0467d8031d9a35a03b5c0da0afbb90dcac619252a5"
-    assert work == "84aa137f02add94c6cbdbe9b0f3e63387278c07471b9f7fa64b56e6ff96aec6a"
+    assert work == "9907de6e330d68b56e5110a3b5177e51ce53818eb7708a59a6bab81347fa7c64"

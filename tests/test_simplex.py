@@ -180,27 +180,199 @@ def test_oracle_battery_wide():
             assert sol.optimal and sol.value == pytest.approx(expect, abs=1e-7)
 
 
-def test_parity_relax_root_is_crashed():
-    # on the cuts_n120 code the parity relaxation's optimum is the hard
-    # decision; the crash puts z_i in the basis for exactly the checks whose
-    # rows that point violates at z = 0 (those with a 1 in their support),
-    # which is the basis the dual pivots reached, so the root takes no pivot
+def random_lp_with_planted_singletons(rng):
+    """A small random_lp with a column singleton planted in most rows, of
+    cost 0 or not.  Each planted column's range a_ij [lo_j, hi_j] either
+    covers what the rest of its row needs over the box, exactly or with a
+    margin of 0.5, so the row never binds it, or falls 0.5 short on one
+    side, so it binds."""
+    n, c, rows, lo, hi = random_lp(rng, n_max=4, m_max=3)
+    rows = [(list(coeffs), sense, rhs) for coeffs, sense, rhs in rows]
+    c = list(c)
+    for coeffs, sense, rhs in rows:
+        if rng.random() < 0.2:
+            continue
+        s_min = sum(min(v * lo[j], v * hi[j]) for j, v in coeffs)
+        s_max = sum(max(v * lo[j], v * hi[j]) for j, v in coeffs)
+        margin, width = float(rng.choice([0.0, 0.5])), float(rng.choice([0.5, 2.0]))
+        short = 0.5 if rng.random() < 0.3 else 0.0
+        if sense == ">=":
+            z_max = rhs - s_min + margin - short
+            z_min = z_max - width
+        else:
+            z_min = rhs - s_max - margin + short
+            z_max = rhs - s_min + margin if sense == "=" else z_min + width
+        a = float(rng.choice([-2.0, -1.0, 1.0, 2.0]))
+        coeffs.append((n, a))
+        lo, hi = lo + [min(z_min / a, z_max / a)], hi + [max(z_min / a, z_max / a)]
+        c.append(0.0 if rng.random() < 0.8 else round(float(rng.standard_normal()), 2) or 1.0)
+        n += 1
+    return n, np.array(c), rows, lo, hi
+
+
+def loop_presolve(rows, lo, hi):
+    """Reference: per row, its first column singleton j and whether a_ij x_j
+    covers every activity the rest of the row takes over the box, as
+    {row: (j, droppable)}."""
+    uses = {}
+    for i, (coeffs, _, _) in enumerate(rows):
+        for j, _ in coeffs:
+            uses.setdefault(j, []).append(i)
+    out = {}
+    for i, (coeffs, sense, rhs) in enumerate(rows):
+        singles = sorted(j for j, _ in coeffs if uses[j] == [i])
+        if not singles:
+            continue
+        j = singles[0]
+        a = dict(coeffs)[j]
+        s_min = sum(min(v * lo[k], v * hi[k]) for k, v in coeffs if k != j)
+        s_max = sum(max(v * lo[k], v * hi[k]) for k, v in coeffs if k != j)
+        z_min, z_max = min(a * lo[j], a * hi[j]), max(a * lo[j], a * hi[j])
+        s_lo = -math.inf if sense == "<=" else rhs
+        s_hi = math.inf if sense == ">=" else rhs
+        out[i] = (j, s_max + z_min <= s_hi and s_min + z_max >= s_lo)
+    return out
+
+
+def test_oracle_battery_presolve():
+    # planted column singletons, droppable and binding, at zero and nonzero
+    # cost: the presolve drops exactly the rows the reference finds, the
+    # engine leaves them out only when their columns cost 0, and every
+    # solve matches the brute-force optimum at a point that meets every
+    # row, the dropped ones included
+    rng = np.random.default_rng(29)
+    seen = dict(engine_drops=0, engine_keeps=0, binding=0, dropped_and_kept=0)
+    for _ in range(100):
+        n, c, rows, lo, hi = random_lp_with_planted_singletons(rng)
+        plus_minus = np.where(c == 0, 0.0, rng.choice([-1.0, 1.0], size=n))
+        ref = loop_presolve(rows, lo, hi)
+        dropped = sorted((i, j) for i, (j, go) in ref.items() if go)
+        seen["binding"] += sum(not go for _, go in ref.values())
+        problem = make_problem(n, c, rows, lo, hi)
+        p = problem.presolved
+        if not dropped:
+            assert p is None
+        else:
+            assert p.cols.tolist() == [j for _, j in dropped]
+            assert len(p.kept) + len(p.dropped) == len(rows) == len(p.kept) + len(p.cols)
+            seen["dropped_and_kept"] += 0 < len(p.kept)
+        for cost in (c, plus_minus):
+            sol = solve(problem.with_objective(cost))
+            if dropped:
+                drops = not cost[[j for _, j in dropped]].any()
+                seen["engine_drops" if drops else "engine_keeps"] += 1
+                assert sol.state.m == len(rows) - (len(dropped) if drops else 0)
+            expect = brute_force_lp(n, cost, rows, lo, hi)
+            if expect is None:
+                assert sol.status is LpStatus.INFEASIBLE
+                continue
+            assert sol.optimal and sol.num_rows == len(rows)
+            assert sol.value == pytest.approx(expect, abs=1e-7)
+            assert sol.value == pytest.approx(float(cost @ sol.x), abs=1e-12)
+            x = sol.x
+            assert np.all(x >= np.array(lo) - 1e-9) and np.all(x <= np.array(hi) + 1e-9)
+            for coeffs, sense, rhs in rows:
+                act = sum(v * x[j] for j, v in coeffs)
+                assert sense == ">=" or act <= rhs + 1e-9
+                assert sense == "<=" or act >= rhs - 1e-9
+    assert seen["engine_drops"] > 30 and seen["engine_keeps"] > 40
+    assert seen["binding"] > 20 and seen["dropped_and_kept"] > 20
+
+
+def test_parity_relax_root_is_crashed(monkeypatch):
+    # the cuts_n120 code's checks have even degree, so z_i <= d_i / 2 never
+    # binds and the presolve drops every parity row: the engine holds none
+    # of them, the root takes no pivot, returns the hard decision and sets
+    # each z_i from its row to H_i x / 2
     from mpdec.channels import Biawgn, llr, transmit, trial_rng
     from mpdec.formulations import build_formulation
-    from mpdec.gf2 import random_regular_ldpc
-    code = random_regular_ldpc(120, 3, 6, 620)
-    channel = Biawgn(0.75)
-    h = np.array([[(row >> j) & 1 for j in range(120)] for row in code.H.rows])
-    for t in range(20):
-        lam = llr(transmit(np.zeros(120, dtype=np.uint8), channel, trial_rng(3, 0, t)), channel)
-        sol = solve(build_formulation(code, "parity_relax", lam).lp)
-        hard = (lam < 0).astype(float)
+    from mpdec.gf2 import random_regular_ldpc, spc_product_code
+
+    def frames(code, sigma):
+        channel = Biawgn(sigma)
+        h = np.array([[(row >> j) & 1 for j in range(code.n)] for row in code.H.rows])
+        for t in range(20):
+            word = np.zeros(code.n, dtype=np.uint8)
+            lam = llr(transmit(word, channel, trial_rng(3, 0, t)), channel)
+            hard = (lam < 0).astype(float)
+            yield solve(build_formulation(code, "parity_relax", lam).lp), hard, h @ hard
+
+    for sol, hard, ones in frames(random_regular_ldpc(120, 3, 6, 620), 0.75):
         assert sol.optimal and sol.pivots == 0
+        assert sol.state.m == 0 and sol.num_rows == 60
         assert np.array_equal(sol.x[:120], hard)
-        basic = np.sort(sol.state.basis[sol.state.basis < sol.state.nstruct])
-        ones = h @ hard
-        assert np.array_equal(basic, 120 + np.flatnonzero(ones))
         assert np.array_equal(sol.x[120:], ones / 2)
+    # spc:3,3's checks have degree 3, so z_i <= 1 binds and the rows stay.
+    # The crash puts z_i in the basis for exactly the checks whose rows the
+    # hard decision violates at z = 0 (those with a 1 in their support); with
+    # no check holding three ones that is the basis the dual pivots reach,
+    # so the root takes no pivot
+    optimize, crashed = _Engine._optimize, []
+    monkeypatch.setattr(_Engine, "_optimize", lambda engine: crashed.append(
+        np.sort(engine.basis[engine.basis < engine.nstruct])) or optimize(engine))
+    steady = 0
+    for sol, hard, ones in frames(spc_product_code((3, 3)), 0.9):
+        assert sol.state.m == sol.num_rows == 6
+        assert np.array_equal(crashed.pop(), 9 + np.flatnonzero(ones))
+        if ones.max() <= 2:
+            steady += 1
+            assert sol.optimal and sol.pivots == 0
+            assert np.array_equal(sol.x[:9], hard)
+            assert np.array_equal(sol.x[9:], ones / 2)
+    assert steady >= 5
+
+
+def test_dropped_rows_come_back_for_edits_that_touch_their_columns():
+    # a pin on a dropped column, or an added row with a nonzero in one, first
+    # appends the dropped rows back, logicals basic; each re-solve must match
+    # the same LP with every row in the engine, warm and from scratch
+    import copy
+    from mpdec.formulations import build_formulation
+    from mpdec.gf2 import random_regular_ldpc
+    code = random_regular_ldpc(32, 3, 4, 7)
+    h = np.array([[(row >> j) & 1 for j in range(32)] for row in code.H.rows], dtype=float)
+    rng = np.random.default_rng(37)
+
+    def in_full(problem):
+        full = copy.copy(problem)
+        full.presolved = None
+        return full
+
+    def check(child, ref, fresh, restored=True):
+        assert child.status is ref.status is fresh.status
+        assert (child.state.presolved is None) is restored
+        assert child.state.m == ref.state.m - (0 if restored else 24)
+        assert child.num_rows == ref.num_rows
+        if child.optimal:  # a pin of z_i is always met, an added row may not be
+            assert child.value == pytest.approx(ref.value, abs=1e-9)
+            assert child.value == pytest.approx(fresh.value, abs=1e-9)
+            assert np.allclose(h @ child.x[:32], 2 * child.x[32:], rtol=0, atol=1e-9)
+
+    for _ in range(6):
+        lam = rng.standard_normal(32)
+        lp = build_formulation(code, "parity_relax", lam).lp
+        sol, ref = solve(lp), solve(in_full(lp))
+        assert sol.state.m == 0 and ref.state.m == 24 and sol.num_rows == 24
+        assert sol.value == pytest.approx(ref.value, abs=1e-9)
+        for _ in range(4):
+            j, v = 32 + int(rng.integers(24)), float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+            lower, upper = lp.lower.copy(), lp.upper.copy()
+            lower[j] = upper[j] = v
+            pinned = make_problem(lp.num_vars, lp.objective, lp.rows, lower, upper)
+            child = fix_variable_resolve(sol, j, v)
+            check(child, fix_variable_resolve(ref, j, v), solve(in_full(pinned)))
+            i, k = int(rng.integers(32)), 32 + int(rng.integers(24))
+            for row in (([(k, 1.0)], "<=", 0.5), ([(i, 1.0), (k, -1.0)], ">=", 0.0),
+                        ([(i, 1.0)], "<=", 0.5)):
+                grown = Rows.parse([row], lp.num_vars)
+                rows = Rows(np.vstack([lp.rows.a, grown.a]), np.append(lp.rows.lo, grown.lo),
+                            np.append(lp.rows.hi, grown.hi))
+                fresh = solve(in_full(make_problem(lp.num_vars, lp.objective, rows,
+                                                   lp.lower, lp.upper)))
+                check(add_rows_resolve(sol, [row]), add_rows_resolve(ref, [row]), fresh,
+                      restored=row[0][-1][0] >= 32)
+        # the parent keeps its presolve through its children's edits
+        assert sol.state.m == 0 and sol.state.presolved is not None
 
 
 def test_feasibility_residuals():
@@ -426,6 +598,21 @@ def test_bad_problems_rejected():
         make_problem(2, [1.0, 1.0], [([(0, 1.0), (0, 2.0)], "<=", 1.0)])
     with pytest.raises(ValueError):
         make_problem(1, [1.0], [([(3, 1.0)], "<=", 1.0)])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_objective_rejected(value):
+    # a NaN cost solved to OPTIMAL with value nan, and the trellis flow LP of
+    # NaN edge costs stopped inside numpy
+    from mpdec.trellis import accumulator_fsm, build_trellis, trellis_flow_lp
+    with pytest.raises(ValueError, match="objective must be finite"):
+        make_problem(3, [value, 1.0, 1.0], [])
+    with pytest.raises(ValueError, match="objective must be finite"):
+        make_problem(3, [1.0, value, 1.0], spc_fs_rows())
+    with pytest.raises(ValueError, match="objective must be finite"):
+        make_problem(3, [1.0, 1.0, 1.0], spc_fs_rows()).with_objective([1.0, 1.0, value])
+    with pytest.raises(ValueError, match="objective must be finite"):
+        trellis_flow_lp(build_trellis(accumulator_fsm(), 4), [value] * 12)
 
 
 def test_add_rows_requires_optimal_state():
