@@ -12,15 +12,14 @@ box, its rows as one `Rows` block (which LpRows and plain tuples are parsed
 into where they enter, `make_problem` and `add_rows_resolve`) and the
 engine's arrays over them, all built when the problem is made.
 `LpProblem.with_objective` shares all but the objective, so a row block kept
-per code costs no per-row work per frame.
-
-It is presolved there too.  A row i whose first column singleton j meets
-it whatever the rest of the row does over the box (s_max + min a_ij x_j <=
-hi_i and s_min + max a_ij x_j >= lo_i) only defines x_j, as Hx = 2z does on
-even-degree checks (Andersen & Andersen, Math. Prog. 1995).  If all such x_j
-cost 0, the engine leaves those rows out: x_j is in no row and never enters,
-the solution sets row i's activity to the nearest point of its bounds, and
-a pin on x_j or an added row touching it first puts the rows back.
+per code costs no per-row work per frame.  That includes its presolve: a row
+i whose first column singleton j meets it whatever the rest of the row does
+over the box (s_max + min a_ij x_j <= hi_i, s_min + max a_ij x_j >= lo_i)
+only defines x_j, as Hx = 2z does on even-degree checks (Andersen &
+Andersen, Math. Prog. 1995).  If all such x_j cost 0, the engine leaves
+those rows out: x_j is in no row and never enters, the solution puts row i's
+activity at the nearest point of its bounds that x_j's own allow, and a pin
+on x_j or an added row on it puts the rows back.
 
 The basis inverse is never stored whole.  With S the k basic structural
 columns, T the k rows whose logicals are nonbasic and L the other rows,
@@ -191,12 +190,10 @@ def _presolve(p: LpProblem) -> _Presolve | None:
     least, most, _ = _row_bounds(rows.a[at], -math.inf, math.inf, lo, hi)
     z_min, z_max = np.sort([coef * lo[cols], coef * hi[cols]], axis=0)
     go = (most - z_max + z_min <= rows.hi[at]) & (least - z_min + z_max >= rows.lo[at])
-    if not go.any():
-        return None
     keep = ~np.isin(np.arange(len(rows)), at[go])
-    return _Presolve(Rows(rows.a[keep], p.row_lo[keep], p.row_hi[keep]),
-                     _singleton_rows(rows.a[keep]),
-                     Rows(rows.a[~keep], rows.lo[~keep], rows.hi[~keep]), cols[go], coef[go])
+    return None if keep.all() else _Presolve(
+        Rows(rows.a[keep], p.row_lo[keep], p.row_hi[keep]), _singleton_rows(rows.a[keep]),
+        Rows(rows.a[~keep], rows.lo[~keep], rows.hi[~keep]), cols[go], coef[go])
 
 
 def _read_only(values, n: int, what: str) -> np.ndarray:
@@ -453,6 +450,8 @@ class _Engine:
         """c - y [A | -I] with y = c_B B^-1; logicals cost nothing, so y is
         zero off the tight rows and the logical part is y itself."""
         c = self.c
+        if self.m == 0:
+            return c.copy()
         n, k, order = self.nstruct, self._k, self._order
         y_t = self._w[:k] @ c[self.basis]
         d = np.zeros(len(c))
@@ -461,6 +460,8 @@ class _Engine:
         return d
 
     def _max_violation(self) -> float:
+        if self.m == 0:
+            return 0.0
         below = self.lo[self.basis] - self.x_basic
         above = self.x_basic - self.hi[self.basis]
         return float(max(below.max(initial=0.0), above.max(initial=0.0)))
