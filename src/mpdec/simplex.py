@@ -301,7 +301,7 @@ class _Engine:
     def __init__(self, problem: LpProblem):
         p = problem.presolved
         self.presolved = p = None if p is None or problem.objective[p.cols].any() else p
-        rows, self.singles = (p.kept, p.singles) if p else (  # singles: see _crash
+        rows, self.singles = (p.kept, p.singles) if p else (
             Rows(problem.rows.a, problem.row_lo, problem.row_hi), problem.singles)
         n, m = problem.num_vars, len(rows)
         self.nstruct = n
