@@ -15,9 +15,11 @@ Adaptive LP's row fraction is `final_lp_rows / n`. The runs are:
   on the frame `trial_rng(520, 0, 0)`, as cross-checked by acceptance
   criterion 4 (m = 1920 rows);
 - `lp` (the full forbidden-set LP, solved from scratch), `adaptive_lp`,
-  `cutting_plane` and `min_sum` on (3,6)-regular codes
-  `random_regular_ldpc(n, 3, 6, seed=1)`, n = 60/120/240/1000, and on
-  `spc:3,3,3`, at BIAWGN sigma=0.8 on the frames `trial_rng(3, 0, t)`.
+  `adaptive_lp_drop` (its drop mode, which removes the cut rows whose
+  logicals are basic after each re-solve), `cutting_plane` and `min_sum`
+  on (3,6)-regular codes `random_regular_ldpc(n, 3, 6, seed=1)`,
+  n = 60/120/240/1000, and on `spc:3,3,3`, at BIAWGN sigma=0.8 on the
+  frames `trial_rng(3, 0, t)`.
   `lp` skips n = 1000, whose full LP has 16 000 dense rows;
 - `branch_and_bound@48`: ML decoding of `random_regular_ldpc(48, 3, 6, 1)`
   at BIAWGN sigma=0.75 on the 20 frames `trial_rng(3, 0, t)`.
@@ -56,7 +58,7 @@ from mpdec.gf2 import random_regular_ldpc, spc_product_code  # noqa: E402
 SCRATCH = dict(code=(120, 3, 6, 620), sigma=1.0, seed=520)
 FRAME_SEED = 3
 SIGMA = 0.8
-DECODERS = ("lp", "adaptive_lp", "cutting_plane", "min_sum")
+DECODERS = ("lp", "adaptive_lp", "adaptive_lp_drop", "cutting_plane", "min_sum")
 LP_MAX_N = 240
 FULL_FRAMES = {60: 20, 120: 20, 240: 10, 1000: 5, "spc:3,3,3": 20}
 QUICK_FRAMES = {60: 5, 120: 5, "spc:3,3,3": 5}

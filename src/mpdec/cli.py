@@ -81,7 +81,7 @@ def cmd_decode(args) -> int:
           f"point={point} lp_solves={s.lp_solves} cuts={s.cuts_added} "
           f"iterations={s.iterations} branch_nodes={s.branch_nodes} "
           f"ms={1000 * s.wall_time:.3f} pivots={s.pivots} refactors={s.refactors} "
-          f"warm_fallbacks={s.warm_fallbacks}")
+          f"warm_fallbacks={s.warm_fallbacks} final_rows={s.final_rows}")
     return 0
 
 

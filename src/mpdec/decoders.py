@@ -21,12 +21,13 @@ import numpy as np
 from .channels import checked_llrs, hard_decision
 # most_violated_fs_cut is unused here but stays importable by this name,
 # where perfbench traces it.
-from .formulations import (FORMULATIONS, Formulation, FsCuts, FsInequality,
-                           _least_certain, build_formulation, matrix_adaptation_cut_search,
+from .formulations import (FORMULATIONS, Formulation, FsCuts, _least_certain,
+                           build_formulation, matrix_adaptation_cut_search,
                            most_violated_fs_cut, row_fs_cuts, rpc_cycle_cut_search)
 from .gf2 import LinearCode, _gauss_jordan, syndrome
 from .simplex import (_TIE_EPS, COST_TOL, FEAS_TOL, LpSolution, LpSolverError,
-                      add_rows_resolve, fix_variable_resolve, is_integral, make_problem, solve)
+                      add_rows_resolve, fix_variable_resolve, is_integral, make_problem,
+                      remove_rows, solve)
 
 
 class DecodeStatus(Enum):
@@ -142,19 +143,20 @@ def _certified(code: LinearCode, x) -> bool:
 
 
 def _separate_until_clean(sol: LpSolution, stats: DecodeStats, code: LinearCode,
-                          max_rounds: float = math.inf, searchers=(),
-                          seed: int = 0) -> LpSolution:
+                          max_rounds: float = math.inf, searchers=(), seed: int = 0,
+                          drop: bool = False) -> LpSolution:
     """The one separation loop: add the most violated forbidden-set row of
     every check, or at a clean non-codeword the cuts of the first of the
     `searchers` (H, x, seed + iterations) -> cuts that yields any, and warm
-    re-solve (one iteration).  Returns the last solution: once nothing is
-    added, after `max_rounds` re-solves, or when one is not optimal.
+    re-solve (one iteration), then with `drop` remove the rows it added whose
+    logicals are basic (`remove_rows`).  Returns the last solution: once
+    nothing is added, after `max_rounds` re-solves, or when one is not optimal.
 
     Cuts from the separation arrays (`FsCuts`, which `row_fs_cuts` and the
     built-in searchers return) reach `add_rows_resolve` as one `Rows` block
     made from those arrays; other cut lists as their `as_lp_row`s, which it
     parses."""
-    start = stats.iterations
+    start, first = stats.iterations, sol.state.m
     while sol.optimal and stats.iterations - start < max_rounds:
         x = sol.x[:code.n]
         cuts = row_fs_cuts(code.H, x)
@@ -168,6 +170,9 @@ def _separate_until_clean(sol: LpSolution, stats: DecodeStats, code: LinearCode,
         rows = (cuts.lp_rows(len(sol.x)) if isinstance(cuts, FsCuts)
                 else [c.as_lp_row() for c in cuts])
         sol = stats.tally(add_rows_resolve(sol, rows))
+        if drop and sol.optimal:
+            n, basis = sol.state.nstruct, sol.state.basis
+            sol = remove_rows(sol, basis[basis >= n + first] - n)
         stats.cuts_added += len(cuts)
         stats.iterations += 1
     return sol
@@ -267,36 +272,6 @@ def lp_decode(code: LinearCode, llr, formulation: str = "fs") -> DecodeResult:
     return _decode(code.n, llr, partial(_search_from_root, code, formulation))
 
 
-def _drop_inactive_rounds(sol: LpSolution, stats: DecodeStats, code: LinearCode,
-                          llr, max_rounds: int) -> LpSolution:
-    """Adaptive LP's drop mode: each round keeps one tight row per check,
-    separates the other checks and re-solves from scratch over both.  Once
-    a round would solve a row set it has already solved, every row is kept
-    from then on (`solved` None), so the rounds cannot cycle."""
-    current: list[FsInequality] = []
-    solved: set[frozenset[FsInequality]] | None = set()
-    while sol.optimal and stats.iterations < max_rounds:
-        x = sol.x[:code.n]
-        cuts = list(row_fs_cuts(code.H, x))
-        kept, skip = [], set()
-        for ineq in current if solved is not None else ():
-            if ineq.check not in skip and abs(ineq.violation(x)) <= FEAS_TOL:
-                kept.append(ineq)
-                skip.add(ineq.check)
-        new = [cut for cut in cuts if cut.check not in skip]
-        if not new:
-            break
-        if solved is not None and (rows := frozenset(kept + new)) not in solved:
-            solved.add(rows)
-        else:
-            solved, kept, new = None, current, cuts
-        current = kept + new
-        sol = stats.tally(solve(make_problem(code.n, llr, [c.as_lp_row() for c in current])))
-        stats.cuts_added += len(new)
-        stats.iterations += 1
-    return sol
-
-
 def adaptive_lp_decode(code: LinearCode, llr,
                        drop_inactive: bool = False) -> DecodeResult:
     """Separation-based LP decoding starting from the bare box LP.
@@ -304,16 +279,13 @@ def adaptive_lp_decode(code: LinearCode, llr,
     Each iteration adds the most violated forbidden-set inequality of every
     check and re-solves; it stops when no check is violated, at which point
     the value equals the full forbidden-set LP optimum, within n iterations
-    (Taghavi & Siegel 2008; more is a SOLVER_ERROR).  `drop_inactive` keeps
-    at most one row per check, at the price of up to 10n + 20 iterations.
+    (Taghavi & Siegel 2008; more is a SOLVER_ERROR).  `drop_inactive` drops
+    the rows whose logicals are basic after each re-solve, in 10n + 20 rounds.
     """
-    if drop_inactive:
-        cap, loop = 10 * code.n + 20, partial(_drop_inactive_rounds, llr=llr)
-    else:
-        cap, loop = code.n, _separate_until_clean
+    cap = 10 * code.n + 20 if drop_inactive else code.n
 
     def separate(sol, stats):
-        sol = loop(sol, stats, code, max_rounds=cap + 1)
+        sol = _separate_until_clean(sol, stats, code, max_rounds=cap + 1, drop=drop_inactive)
         if stats.iterations > cap:
             if sol.optimal:
                 stats.final_rows = sol.num_rows

@@ -11,8 +11,8 @@ checks (GF(2) row combinations).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from itertools import combinations, compress, product, repeat
+from dataclasses import dataclass
+from itertools import combinations, compress, product
 
 import numpy as np
 
@@ -32,13 +32,10 @@ class FsInequality:
 
     `support` is the variable neighborhood of one parity check (original
     or redundant); `odd_subset` is the forbidden odd-cardinality pattern.
-    `check` is the row of H whose support it is, when separation was run
-    on the rows of H; it takes no part in equality or hashing.
     """
 
     support: tuple[int, ...]
     odd_subset: tuple[int, ...]
-    check: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.odd_subset) % 2 == 0:
@@ -72,8 +69,8 @@ class FsCuts(Sequence):
     LpRow made.  It compares equal to a list of the same cuts.
     """
 
-    def __init__(self, cols, mask, odd, checks=None):
-        self._cols, self._mask, self._odd, self._checks = cols, mask, odd, checks
+    def __init__(self, cols, mask, odd):
+        self._cols, self._mask, self._odd = cols, mask, odd
         self._items = None
 
     def __len__(self) -> int:
@@ -93,10 +90,9 @@ class FsCuts(Sequence):
     def _list(self) -> list[FsInequality]:
         if self._items is None:
             self._items = [
-                FsInequality(tuple(compress(row, real)), tuple(compress(row, chosen)), check)
-                for row, real, chosen, check in zip(
-                    self._cols.tolist(), self._mask.tolist(), self._odd.tolist(),
-                    repeat(None) if self._checks is None else self._checks)]
+                FsInequality(tuple(compress(row, real)), tuple(compress(row, chosen)))
+                for row, real, chosen in zip(
+                    self._cols.tolist(), self._mask.tolist(), self._odd.tolist())]
         return self._items
 
     def lp_rows(self, num_vars: int) -> Rows:
@@ -352,7 +348,7 @@ def build_formulation(code: LinearCode, kind: str, objective) -> Formulation:
 # -- separation ----------------------------------------------------------------
 
 
-def separate_fs_cuts(cols, mask, x, tol: float = CUT_TOL, checks=None) -> FsCuts:
+def separate_fs_cuts(cols, mask, x, tol: float = CUT_TOL) -> FsCuts:
     """The most violated forbidden-set inequality of every support at once.
 
     Row r of `cols` holds one support, ascending, where `mask` is True (the
@@ -360,8 +356,7 @@ def separate_fs_cuts(cols, mask, x, tol: float = CUT_TOL, checks=None) -> FsCuts
     Thresholding x at 1/2 gives each row's maximizing subset; if it is
     even, toggling the entry nearest 1/2 (the least (|x_j - 1/2|, j)) is
     optimal among odd subsets.  Violations are summed in support order.
-    Returns the cuts violated by more than `tol`, in row order; row r's
-    cut records `checks[r]` as its check when `checks` is given.
+    Returns the cuts violated by more than `tol`, in row order.
     """
     vals = np.asarray(x, dtype=float).take(cols, mode="clip")
     odd = mask & (vals > 0.5)
@@ -370,8 +365,7 @@ def separate_fs_cuts(cols, mask, x, tol: float = CUT_TOL, checks=None) -> FsCuts
     odd[even, toggle[even]] ^= True
     lhs = np.where(mask, np.where(odd, vals, -vals), 0.0).cumsum(axis=1)[:, -1]
     hit = ((lhs - (odd.sum(axis=1) - 1) > tol) & mask.any(axis=1)).nonzero()[0]
-    return FsCuts(cols[hit], mask[hit], odd[hit],
-                  None if checks is None else [int(checks[r]) for r in hit.tolist()])
+    return FsCuts(cols[hit], mask[hit], odd[hit])
 
 
 def most_violated_fs_cut(support, x, tol: float = CUT_TOL) -> FsInequality | None:
@@ -386,8 +380,8 @@ def most_violated_fs_cut(support, x, tol: float = CUT_TOL) -> FsInequality | Non
 
 def row_fs_cuts(h: BinaryMatrix, x, tol: float = CUT_TOL) -> FsCuts:
     """Per-row separation: the most violated FS inequality of every check,
-    in check order, each recording its check."""
-    return separate_fs_cuts(h.layout.cols, h.layout.mask, x, tol, range(h.m))
+    in check order."""
+    return separate_fs_cuts(h.layout.cols, h.layout.mask, x, tol)
 
 
 def _separate_words(h: BinaryMatrix, words, x) -> FsCuts:

@@ -49,11 +49,12 @@ those nonbasics to their other bound and running the dual simplex again.
 Solver states are reusable: `add_rows_resolve` and `fix_variable_resolve`
 clone the state and re-solve with the dual simplex from the old basis,
 falling back to a scratch solve when that basis is not dual feasible or
-runs into trouble.  Added rows get their logical bounds from the same
-tightening as a problem's own.  A pin may only narrow a variable's
-bounds.  Every verdict, optimal and infeasible, is confirmed on a fresh
-factorization.  An LpSolution counts the pivots and refactors of the solve
-that produced it and flags that fallback.
+runs into trouble; `remove_rows` deletes rows whose logicals are basic,
+which leaves an optimal basis optimal, with no solve.  Added rows get their
+logical bounds from the same tightening as a problem's own.  A pin may only
+narrow a variable's bounds.  Every verdict, optimal and infeasible, is
+confirmed on a fresh factorization.  An LpSolution counts the pivots and
+refactors of the solve that produced it and flags that fallback.
 
 Tolerances (stated once, reused repo-wide): feasibility/optimality 1e-9
 (`FEAS_TOL`, `COST_TOL`; objective values that close count as tied),
@@ -721,6 +722,29 @@ class _Engine:
         p, self.presolved = self.presolved, None
         self.add_rows(p.dropped)
 
+    def remove_rows(self, rows):
+        """Delete the given rows, whose logicals must all be basic (ValueError
+        for any other).  Row i's logical sits at some basis position p, so B
+        loses row i and column p, B^-1 row p and column i, and W column p:
+        x, y and every reduced cost stay, so an optimal basis stays optimal."""
+        n, m = self.nstruct, self.m
+        rows = np.asarray(rows, dtype=np.intp)
+        if ((rows < 0) | (rows >= m)).any() or (self.status[n + rows] != _BASIC).any():
+            raise ValueError("only rows whose logicals are basic can be removed")
+        kept, at = np.ones(m, dtype=bool), np.ones(m, dtype=bool)  # rows, basis positions
+        kept[rows] = at[self._lpos[self._slot[rows]]] = False
+        row_to, pos_to = np.cumsum(kept) - 1, np.cumsum(at) - 1
+        stay = kept[self._order]  # the removed rows are all at [k:]
+        self._order, self._lpos = row_to[self._order[stay]], pos_to[self._lpos[stay]]
+        self._slot = np.argsort(self._order)
+        self.basis = np.concatenate([np.arange(n), n + row_to])[self.basis[at]]
+        cols = np.concatenate([np.ones(n, dtype=bool), kept])
+        self.c, self.lo, self.hi, self.status = (
+            v[cols] for v in (self.c, self.lo, self.hi, self.status))
+        self.a, self.x_basic = self.a[kept], self.x_basic[at]
+        self._w = self._w[:min(n, self.m), at]
+        self.singles = self._d = None
+
     # -- extraction ------------------------------------------------------------
 
     def values(self) -> np.ndarray:
@@ -788,6 +812,16 @@ def fix_variable_resolve(solution: LpSolution, j, value) -> LpSolution:
     for jj, v in zip(j, value):
         engine.set_bounds(int(jj), float(v), float(v))
     return _resolve(engine)
+
+
+def remove_rows(solution: LpSolution, rows) -> LpSolution:
+    """The same optimum, x and value, without the given rows of its engine
+    (`state`), whose logicals must be basic (`_Engine.remove_rows`)."""
+    if not solution.optimal:
+        raise ValueError("can only remove rows from an optimal state")
+    engine = solution.state.clone()
+    engine.remove_rows(rows)
+    return LpSolution(LpStatus.OPTIMAL, solution.x, solution.value, engine)
 
 
 def is_integral(x) -> bool:

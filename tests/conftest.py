@@ -125,12 +125,11 @@ def reference_most_violated_fs_cut(support, x, tol=1e-6):
 
 
 def reference_row_fs_cuts(h, x, tol=1e-6):
-    from mpdec.formulations import FsInequality
     cuts = []
-    for i, support in enumerate(h.layout.supports):
+    for support in h.layout.supports:
         cut = reference_most_violated_fs_cut(support, x, tol) if support else None
         if cut is not None:
-            cuts.append(FsInequality(cut.support, cut.odd_subset, i))
+            cuts.append(cut)
     return cuts
 
 
@@ -147,37 +146,26 @@ def reference_separate_words(h, words, x):
 
 def reference_adaptive_lp(code, llr, drop_inactive=False):
     """Adaptive LP decoding's separation loop as it ran on the per-support
-    routine; returns the last LP solution and (cuts, pivots, iterations)."""
-    from mpdec.simplex import FEAS_TOL, add_rows_resolve, make_problem, solve
+    routine, in drop mode removing after each optimal re-solve every row
+    whose logical is basic; returns the last LP solution and (cuts, pivots,
+    iterations)."""
+    from mpdec.simplex import _BASIC, add_rows_resolve, make_problem, remove_rows, solve
     n, supports = code.n, code.H.layout.supports
     sol = solve(make_problem(n, llr, []))
     pivots, cuts, iterations = sol.pivots, 0, 0
-    current = []
     while True:
         x = sol.x[:n]
-        skip = set()
-        if drop_inactive:
-            kept = []
-            for ci, ineq in current:
-                odd = set(ineq.odd_subset)
-                lhs = sum(x[j] if j in odd else -x[j] for j in ineq.support)
-                if ci not in skip and abs(float(lhs - ineq.rhs)) <= FEAS_TOL:
-                    kept.append((ci, ineq))
-                    skip.add(ci)
-            current = kept
         new = []
-        for i, support in enumerate(supports):
-            if support and i not in skip:
-                cut = reference_most_violated_fs_cut(support, x)
-                if cut is not None:
-                    new.append((i, cut))
+        for support in supports:
+            cut = reference_most_violated_fs_cut(support, x) if support else None
+            if cut is not None:
+                new.append(cut)
         if not new:
             return sol, (cuts, pivots, iterations)
-        current.extend(new)
-        if drop_inactive:
-            sol = solve(make_problem(n, llr, [c.as_lp_row() for _, c in current]))
-        else:
-            sol = add_rows_resolve(sol, [c.as_lp_row() for _, c in new])
+        sol = add_rows_resolve(sol, [c.as_lp_row() for c in new])
         pivots += sol.pivots
+        if drop_inactive and sol.optimal:
+            basic = [i for i in range(sol.state.m) if sol.state.status[n + i] == _BASIC]
+            sol = remove_rows(sol, basic)
         cuts += len(new)
         iterations += 1

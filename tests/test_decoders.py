@@ -116,6 +116,25 @@ def test_adaptive_drop_inactive_does_not_cycle(trial):
     assert res.stats.iterations <= code.n
 
 
+def test_adaptive_drop_inactive_costs_about_add_modes_pivots():
+    # the first 20 seed-3 cuts_n120 frames: drop mode removes its rows whose
+    # logicals are basic from the warm state (1.05x add mode's pivots),
+    # where rebuilding the LP each round and solving it from scratch took
+    # 3.7x
+    from mpdec.channels import Biawgn, llr, transmit, trial_rng
+    code, channel = random_regular_ldpc(120, 3, 6, 620), Biawgn(0.75)
+    pivots, rows = {False: 0, True: 0}, {False: 0, True: 0}
+    for t in range(20):
+        lam = llr(transmit(np.zeros(120, dtype=np.uint8), channel, trial_rng(3, 0, t)), channel)
+        res = {drop: adaptive_lp_decode(code, lam, drop_inactive=drop) for drop in rows}
+        assert abs(res[True].value - res[False].value) <= 1e-9
+        for drop, r in res.items():
+            pivots[drop] += r.stats.pivots
+            rows[drop] += r.stats.final_rows
+    assert pivots[True] <= 1.25 * pivots[False]
+    assert rows[True] <= rows[False]
+
+
 def test_cutting_plane_integral_base_no_rounds(code84):
     res = cutting_plane_decode(code84, np.full(8, 0.4))
     assert res.status is DecodeStatus.ML_CERTIFIED
@@ -744,7 +763,11 @@ def test_decoder_outputs_are_pinned():
     # re-recorded when adaptive LP's drop mode stopped cycling (n=32 frame 10
     # went from solver_error to fractional_failure); a change meant to move
     # pivots re-records only the work digest, as the presolve of the parity
-    # rows did (cutting_plane's pivots on the n=32 and n=60 codes)
+    # rows did (cutting_plane's pivots on the n=32 and n=60 codes).  Both
+    # were re-recorded when drop mode moved onto the warm separation loop:
+    # only adaptive_lp_drop moved, its answers on fractional frames alone
+    # (n=32 frames 0, 10, 14 and 19, n=60 frame 3): values by last bits, and
+    # n=32 frame 10 ends at another optimal vertex, add mode's
     import os
     import subprocess
     import sys
@@ -758,5 +781,5 @@ def test_decoder_outputs_are_pinned():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     answers, work = proc.stdout.split()
-    assert answers == "e40acf22ce5471acb5163a0467d8031d9a35a03b5c0da0afbb90dcac619252a5"
-    assert work == "9907de6e330d68b56e5110a3b5177e51ce53818eb7708a59a6bab81347fa7c64"
+    assert answers == "9646277db636436c826a1a0d131c120c2e7ffde41db2d953c8c5d7092d721168"
+    assert work == "433f044e9408ee050c6e966d9bcd39b2c50b5c1c0a2fadac5c69c325ad554f75"

@@ -467,9 +467,11 @@ def test_batch_separation_is_maximal_and_matches_reference(rows, tol, data):
         start += len(row)
     width = max(map(len, supports))
     cols = np.array([s + [len(x)] * (width - len(s)) for s in supports])
-    cuts = separate_fs_cuts(cols, cols < len(x), x, tol, checks=range(len(rows)))
-    assert [c.check for c in cuts] == sorted(c.check for c in cuts)
-    by_row = {c.check: c for c in cuts}
+    cuts = separate_fs_cuts(cols, cols < len(x), x, tol)
+    # the supports are disjoint, so each cut's support names its row
+    hit = [supports.index(list(c.support)) for c in cuts]
+    assert hit == sorted(hit)
+    by_row = dict(zip(hit, cuts))
     for r, support in enumerate(supports):
         got = by_row.get(r)
         assert got == reference_most_violated_fs_cut(support, x, tol)
@@ -500,19 +502,16 @@ def test_cut_searches_match_reference(code84, monkeypatch):
     cases += [(code84, rng.random(8)), (code84, rng.integers(0, 2, 8) / 2.0)]
 
     def run():
-        return [(row_fs_cuts(c.H, x), [cut.check for cut in row_fs_cuts(c.H, x)],
-                 matrix_adaptation_cut_search(c.H, x),
+        return [(row_fs_cuts(c.H, x), matrix_adaptation_cut_search(c.H, x),
                  rpc_cycle_cut_search(c.H, x, rng_seed=t))
                 for t, (c, x) in enumerate(cases)]
 
     got = run()
     monkeypatch.setattr(formulations, "_separate_words", reference_separate_words)
-    assert got == [(reference_row_fs_cuts(c.H, x),
-                    [cut.check for cut in reference_row_fs_cuts(c.H, x)],
-                    matrix_adaptation_cut_search(c.H, x),
+    assert got == [(reference_row_fs_cuts(c.H, x), matrix_adaptation_cut_search(c.H, x),
                     rpc_cycle_cut_search(c.H, x, rng_seed=t))
                    for t, (c, x) in enumerate(cases)]
-    assert any(g[2] for g in got) and any(g[3] for g in got)
+    assert any(g[1] for g in got) and any(g[2] for g in got)
 
 
 def test_batch_separation_sums_in_support_order():
@@ -524,7 +523,7 @@ def test_batch_separation_sums_in_support_order():
     assert want is not None and want.odd_subset == (0, 1, 2)
     assert most_violated_fs_cut((3, 1, 0, 2), x, tol=0.0) == want
     cuts = row_fs_cuts(BinaryMatrix(4, (0, 0b1111)), x, tol=0.0)
-    assert cuts == [want] and cuts[0].check == 1
+    assert cuts == [want]
 
 
 # Every builder's output, pinned: the sha256 of its kind, n and row tags and

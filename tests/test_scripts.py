@@ -33,7 +33,8 @@ def test_script_runs(script, tmp_path):
         assert scratch["run"] == "scratch_n120" and scratch["final_lp_rows"] == 1920
         assert scratch["ms_per_pivot"] > 0 and scratch["pivots_per_frame"] > 0
         runs = {run["run"]: run for run in record["runs"]}
-        assert {"lp@60", "lp@120", "lp@spc:3,3,3", "branch_and_bound@48"} <= set(runs)
+        assert {"lp@60", "lp@120", "lp@spc:3,3,3", "adaptive_lp_drop@60",
+                "branch_and_bound@48"} <= set(runs)
         assert all("branch_nodes_per_frame" in run for run in runs.values())
         assert all(re.fullmatch("[0-9a-f]{64}", run["answers"]) for run in runs.values())
         search = runs["branch_and_bound@48"]

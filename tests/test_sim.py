@@ -291,6 +291,7 @@ def test_cli_decode_llr(capsys):
     # the kernel counters of the one scratch solve
     assert int(fields["pivots"]) >= 0 and int(fields["refactors"]) >= 1
     assert fields["warm_fallbacks"] == "0"
+    assert fields["final_rows"] == "24"  # spc:3,3's full forbidden-set LP: 6 checks of degree 3
 
 
 def test_cli_decode_channel(capsys):

@@ -8,7 +8,8 @@ import pytest
 
 from mpdec.simplex import (_AT_LOWER, _BASIC, _WARM_DUAL_TOL, COST_TOL, LpRow, LpSolverError,
                            LpStatus, Rows, _Engine, add_rows_resolve, dump_lp,
-                           fix_variable_resolve, is_integral, make_problem, solve)
+                           fix_variable_resolve, is_integral, make_problem, remove_rows,
+                           solve)
 
 
 def brute_force_lp(num_vars, c, rows, lo, hi):
@@ -59,18 +60,20 @@ def brute_force_lp(num_vars, c, rows, lo, hi):
     return best
 
 
+def random_row(rng, n):
+    nz = int(rng.integers(1, n + 1))
+    cols = sorted(rng.choice(n, size=nz, replace=False).tolist())
+    coeffs = [(int(j), float(rng.integers(-3, 4)) or 1.0) for j in cols]
+    sense = ("<=", ">=", "=")[int(rng.integers(0, 3))]
+    rhs = float(rng.integers(-2, 3))
+    return coeffs, sense, rhs
+
+
 def random_lp(rng, n_max=5, m_max=4):
     n = int(rng.integers(2, n_max + 1))
     m = int(rng.integers(0, m_max + 1))
     c = rng.standard_normal(n).round(2)
-    rows = []
-    for _ in range(m):
-        nz = int(rng.integers(1, n + 1))
-        cols = sorted(rng.choice(n, size=nz, replace=False).tolist())
-        coeffs = [(int(j), float(rng.integers(-3, 4)) or 1.0) for j in cols]
-        sense = ("<=", ">=", "=")[int(rng.integers(0, 3))]
-        rhs = float(rng.integers(-2, 3))
-        rows.append((coeffs, sense, rhs))
+    rows = [random_row(rng, n) for _ in range(m)]
     return n, c, rows, [0.0] * n, [1.0] * n
 
 
@@ -686,6 +689,71 @@ def test_kernel_inverse_after_add_rows():
         assert np.allclose(engine.b_inv @ dense_basis(engine), eye, atol=1e-9)
         engine._refactor()
         assert np.allclose(engine.b_inv @ dense_basis(engine), eye, atol=1e-9)
+
+
+def random_rows(rng, n):
+    """One to three rows over n columns, drawn as `random_lp` draws its own."""
+    return [random_row(rng, n) for _ in range(int(rng.integers(1, 4)))]
+
+
+def test_remove_rows_whose_logicals_are_basic():
+    # random small LPs, solved and grown by a warm add: removing the rows
+    # whose logicals are basic, a random part of them first and then the
+    # rest, keeps x and the value and leaves a B^-1 that inverts the smaller
+    # basis, and the next warm add or pin equals a scratch solve of the
+    # smaller LP; any other row is refused
+    rng = np.random.default_rng(61)
+    seen = dict(removed=0, kept=0, refused=0, edits=0)
+    for _ in range(300):
+        n, c, rows, lo, hi = random_lp(rng)
+        sol = solve(make_problem(n, c, rows, lo, hi))
+        if not sol.optimal:
+            continue
+        added = random_rows(rng, n)
+        sol, rows = add_rows_resolve(sol, added), rows + added
+        if not sol.optimal or sol.state.presolved is not None:
+            continue
+        state = sol.state
+        basic = [i for i in range(state.m) if state.status[n + i] == _BASIC]
+        tight = [i for i in range(state.m) if state.status[n + i] != _BASIC]
+        for i in tight[:1]:
+            with pytest.raises(ValueError):
+                remove_rows(sol, basic + [i])
+            seen["refused"] += 1
+        with pytest.raises(ValueError):
+            remove_rows(sol, [state.m])
+        part = [i for i in basic if rng.random() < 0.5]
+        kept, small = list(range(state.m)), sol
+        for gone in (part, [i for i in basic if i not in part]):
+            small = remove_rows(small, [kept.index(i) for i in gone])
+            kept = [i for i in kept if i not in gone]
+            engine = small.state
+            assert np.array_equal(small.x, sol.x) and small.value == sol.value
+            assert np.array_equal(engine.a, state.a[kept])
+            values = state.values()
+            assert np.array_equal(engine.values(), np.append(values[:n], values[n:][kept]))
+            assert np.allclose(engine.b_inv @ dense_basis(engine), np.eye(engine.m), atol=1e-9)
+            reduced = [rows[i] for i in kept]
+            assert solve(make_problem(n, c, reduced, lo, hi)).value == pytest.approx(
+                sol.value, abs=1e-9)
+            more = random_rows(rng, n)
+            j, v = int(rng.integers(n)), float(rng.integers(0, 2))
+            pin_lo, pin_hi = list(lo), list(hi)
+            pin_lo[j] = pin_hi[j] = v
+            for warm, scratch in ((add_rows_resolve(small, more),
+                                   solve(make_problem(n, c, reduced + more, lo, hi))),
+                                  (fix_variable_resolve(small, j, v),
+                                   solve(make_problem(n, c, reduced, pin_lo, pin_hi)))):
+                assert warm.status is scratch.status
+                if scratch.optimal:
+                    assert warm.value == pytest.approx(scratch.value, abs=1e-9)
+                    seen["edits"] += 1
+        assert state.m == len(rows)  # the state removal started from is as it was
+        assert kept == tight
+        seen["removed"] += len(basic)
+        seen["kept"] += len(tight)
+    assert seen["removed"] > 100 and seen["kept"] > 50
+    assert seen["refused"] > 50 and seen["edits"] > 150
 
 
 def random_pivot(engine, rng):
