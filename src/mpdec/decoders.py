@@ -203,8 +203,8 @@ class _Incumbent:
     the solve that found it.  A candidate wins when that cost is lower by
     more than COST_TOL, or ties within COST_TOL and is lexicographically
     smaller: the brute-force oracle's convention.  Searches prune only nodes
-    that cannot win.  Branch & bound (its root separated from the box, every
-    node separated) returns the oracle's codeword among ties, the other
+    that cannot win.  Branch & bound (every node solved to the optimum of
+    its relaxation) returns the oracle's codeword among ties, the other
     searches the smallest tied codeword they met, and a decoder that does
     not search whichever tied vertex its last solve ended at.
     """
@@ -248,12 +248,12 @@ class _Incumbent:
 
 
 def _search_from_root(code: LinearCode, formulation: str | None, llr,
-                      stats: DecodeStats, search=None, separate=None):
+                      stats: DecodeStats, search=None, separate=None, ties=False):
     """The `_decode` body of the LP decoders.
 
     Solves the root relaxation (`_root`); an integral codeword optimum is
-    ML_CERTIFIED, unless branch & bound (`search` and `separate` both
-    given) goes on to look for tied smaller codewords.  Otherwise
+    ML_CERTIFIED, unless branch & bound (`ties`) goes on to look for tied
+    smaller codewords.  Otherwise
     `search(form, root, incumbent, stats)` offers candidates to the
     incumbent and returns True if it covered the whole code; the result is
     the incumbent (ML_CERTIFIED after a complete search, else
@@ -262,7 +262,7 @@ def _search_from_root(code: LinearCode, formulation: str | None, llr,
     incumbent = _Incumbent(code, llr)
     form, root = _root(code, llr, formulation, stats, separate)
     complete = incumbent.offer(root)
-    if search is not None and (separate is not None or not complete):
+    if search is not None and (ties or not complete):
         complete = search(form, root, incumbent, stats)
     return incumbent.result(complete, root)
 
@@ -417,17 +417,18 @@ def bit_guessing_decode(code: LinearCode, llr, c: float = 1.0,
 def branch_and_bound_decode(code: LinearCode, llr, formulation: str = "fs",
                             max_nodes: int = 100_000,
                             max_depth: int | None = None) -> DecodeResult:
-    """Depth-first LP branch & cut; exact ML when the tree is exhausted.
+    """Depth-first LP branch & bound; exact ML when the tree is exhausted.
 
-    The root ("fs": the box LP, else the full `formulation`) and every
-    child, once its bit is pinned, run the separation loop.  A fractional
-    node branches on the bit closest to 1/2, a codeword node on its lowest
-    unpinned 1, 0-child first, and only nodes that cannot win are pruned,
-    so a certificate is the oracle's codeword among ties whichever tied
-    vertex a solve ends at.
+    With "fs" the root solves the full forbidden-set LP and every child is
+    one warm re-solve of its parent with its bit pinned; any other
+    `formulation` is built in full, and its root and every child run the
+    separation loop.  A fractional node branches on the bit closest to 1/2,
+    a codeword node on its lowest unpinned 1, 0-child first, and only nodes
+    that cannot win are pruned, so a certificate is the oracle's codeword
+    among ties whichever tied vertex a solve ends at.
     """
     n = code.n
-    separate = partial(_separate_until_clean, code=code)
+    separate = None if formulation == "fs" else partial(_separate_until_clean, code=code)
 
     def search(form, root, incumbent, stats):
         exhausted = True
@@ -443,7 +444,9 @@ def branch_and_bound_decode(code: LinearCode, llr, formulation: str = "fs",
             if j is not None:
                 if stats.branch_nodes >= max_nodes:
                     return False
-                sol = separate(stats.tally(fix_variable_resolve(sol, j, v)), stats)
+                sol = stats.tally(fix_variable_resolve(sol, j, v))
+                if separate is not None:
+                    sol = separate(sol, stats)
                 stats.branch_nodes += 1
                 if not sol.optimal or incumbent.prunes(sol.value, floor):
                     continue
@@ -460,9 +463,8 @@ def branch_and_bound_decode(code: LinearCode, llr, formulation: str = "fs",
                     stack.append((sol, free[0], float(value), depth + 1, child))
         return exhausted
 
-    return _decode(code.n, llr, partial(
-        _search_from_root, code, None if formulation == "fs" else formulation,
-        search=search, separate=separate))
+    return _decode(code.n, llr, partial(_search_from_root, code, formulation, search=search,
+                                        separate=separate, ties=True))
 
 
 def variable_depth_decode(code: LinearCode, llr, depth: int = 8) -> DecodeResult:

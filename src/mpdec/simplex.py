@@ -46,6 +46,13 @@ per row block.  Only violated rows are then pivoted on.  A basis that ends
 primal feasible while something still prices in is repaired by moving
 those nonbasics to their other bound and running the dual simplex again.
 
+An LP of more than `_POOL_ROWS` inequality rows keeps them in a read-only
+pool, shared by clones, and its engine starts from its equality rows (the
+full forbidden-set LP's 2^(d-1) rows a check, of which a point of the box
+violates at most one).  Each primal feasible point, the confirmed one too,
+appends the pool rows it violates in place, logicals basic: y stays, so
+the reduced costs gain only zeros, and rows left in the pool carry dual 0.
+
 Solver states are reusable: `add_rows_resolve` and `fix_variable_resolve`
 clone the state and re-solve with the dual simplex from the old basis,
 falling back to a scratch solve when that basis is not dual feasible or
@@ -81,6 +88,7 @@ _TIE_EPS = 1e-12
 _WARM_DUAL_TOL = 1e-7
 _REFACTOR_EVERY = 100
 _BLAND_AFTER = 50
+_POOL_ROWS = 256
 
 _BASIC, _AT_LOWER, _AT_UPPER = 0, 1, 2
 
@@ -280,8 +288,9 @@ class LpSolution:
 
     @property
     def num_rows(self) -> int:
-        """Rows of the LP that was solved, those the engine left out included."""
-        return self.state.m + len(self.state.presolved.cols if self.state.presolved else ())
+        """Rows of the LP that was solved, those the engine left out or pools included."""
+        s = self.state
+        return s.m + len(s.presolved.cols if s.presolved else ()) + len(s.pool or ()) - s.pulled
 
 
 class _Engine:
@@ -304,6 +313,10 @@ class _Engine:
         self.presolved = p = None if p is None or problem.objective[p.cols].any() else p
         rows, self.singles = (p.kept, p.singles) if p else (
             Rows(problem.rows.a, problem.row_lo, problem.row_hi), problem.singles)
+        ineq, self.pool, self.pulled = rows.lo < rows.hi, None, 0
+        if ineq.sum() > _POOL_ROWS:  # the engine starts from the equalities alone
+            self.pool = rows if ineq.all() else Rows(rows.a[ineq], rows.lo[ineq], rows.hi[ineq])
+            rows, self.singles = Rows(rows.a[~ineq], rows.lo[~ineq], rows.hi[~ineq]), None
         n, m = problem.num_vars, len(rows)
         self.nstruct = n
         self.a = rows.a
@@ -579,20 +592,40 @@ class _Engine:
         prices in (a warm start inside `_WARM_DUAL_TOL`, or drift) is
         repaired by moving each such nonbasic to its other bound, which
         makes it dual feasible, and restoring primal feasibility again.
+        Pulls from the pool (`_pull`) are no repair round.
         """
-        budget = self._iter_budget()
-        for _ in range(8):
-            if self._dual_phase(budget) is LpStatus.INFEASIBLE:
+        rounds = 0
+        while rounds < 8:  # a pulled row the box cannot meet sets bad_bounds
+            if self.bad_bounds or self._dual_phase(self._iter_budget()) is LpStatus.INFEASIBLE:
                 return LpStatus.INFEASIBLE
-            self._refactor()
-            if self._max_violation() > FEAS_TOL:
+            if self._pull():
                 continue
-            flip = self._prices_in(self._reduced_costs(), COST_TOL)
-            if not flip.any():
-                return LpStatus.OPTIMAL
-            self.status[flip] = np.where(self.status[flip] == _AT_LOWER, _AT_UPPER, _AT_LOWER)
             self._refactor()
+            if self._max_violation() <= FEAS_TOL:
+                if self._pull():
+                    continue
+                flip = self._prices_in(self._reduced_costs(), COST_TOL)
+                if not flip.any():
+                    return LpStatus.OPTIMAL
+                self.status[flip] = np.where(self.status[flip] == _AT_LOWER,
+                                             _AT_UPPER, _AT_LOWER)
+                self._refactor()
+            rounds += 1
         raise LpSolverError("could not confirm optimality")
+
+    def _pull(self) -> bool:
+        """Append the pool rows the point violates; True if any.  A row in
+        the engine is met to FEAS_TOL, so none is pulled twice."""
+        pool = self.pool
+        if pool is None:
+            return False
+        act = pool.a @ self.values()[:self.nstruct]
+        out = (act > pool.hi + FEAS_TOL) | (act < pool.lo - FEAS_TOL)
+        if not out.any():
+            return False
+        self.add_rows(Rows(pool.a[out], pool.lo[out], pool.hi[out]))
+        self.pulled += int(out.sum())
+        return True
 
     def optimize_scratch(self) -> LpStatus:
         """Solve from the slack basis with each structural at the bound its
@@ -691,6 +724,8 @@ class _Engine:
         self.basis = np.concatenate([self.basis, n + new])
         self.status = np.concatenate([self.status, np.full(kr, _BASIC, dtype=np.int8)])
         self.x_basic = np.concatenate([self.x_basic, block @ x_old[:n]])
+        if self._d is not None:  # y is unchanged, the new logicals basic
+            self._d = np.concatenate([self._d, np.zeros(kr)])
 
     def set_bounds(self, j: int, lo: float, hi: float):
         """Narrow variable j's bounds to [lo, hi].  They may only narrow: the
@@ -722,11 +757,12 @@ class _Engine:
         p, self.presolved = self.presolved, None
         self.add_rows(p.dropped)
 
-    def remove_rows(self, rows):
-        """Delete the given rows, whose logicals must all be basic (ValueError
-        for any other).  Row i's logical sits at some basis position p, so B
-        loses row i and column p, B^-1 row p and column i, and W column p:
-        x, y and every reduced cost stay, so an optimal basis stays optimal."""
+    def remove_rows(self, rows) -> "_Engine":
+        """A copy without the given rows, whose logicals must all be basic
+        (ValueError for any other).  Row i's logical sits at some basis
+        position p, so B loses row i and column p, B^-1 row p and column i,
+        and W column p: x, y and every reduced cost stay, so an optimal basis
+        stays optimal.  Every array is built anew but A[T], copied once."""
         n, m = self.nstruct, self.m
         rows = np.asarray(rows, dtype=np.intp)
         if ((rows < 0) | (rows >= m)).any() or (self.status[n + rows] != _BASIC).any():
@@ -735,15 +771,17 @@ class _Engine:
         kept[rows] = at[self._lpos[self._slot[rows]]] = False
         row_to, pos_to = np.cumsum(kept) - 1, np.cumsum(at) - 1
         stay = kept[self._order]  # the removed rows are all at [k:]
-        self._order, self._lpos = row_to[self._order[stay]], pos_to[self._lpos[stay]]
-        self._slot = np.argsort(self._order)
-        self.basis = np.concatenate([np.arange(n), n + row_to])[self.basis[at]]
+        e = copy.copy(self)
+        e._order, e._lpos = row_to[self._order[stay]], pos_to[self._lpos[stay]]
+        e._slot = np.argsort(e._order)
+        e.basis = np.concatenate([np.arange(n), n + row_to])[self.basis[at]]
         cols = np.concatenate([np.ones(n, dtype=bool), kept])
-        self.c, self.lo, self.hi, self.status = (
-            v[cols] for v in (self.c, self.lo, self.hi, self.status))
-        self.a, self.x_basic = self.a[kept], self.x_basic[at]
-        self._w = self._w[:min(n, self.m), at]
-        self.singles = self._d = None
+        e.c, e.lo, e.hi, e.status = (v[cols] for v in (self.c, self.lo, self.hi, self.status))
+        e.a, e.x_basic = self.a[kept], self.x_basic[at]
+        e._w, e._at = self._w[:min(n, e.m), at], self._at[:min(n, e.m)].copy()
+        e.singles = e._d = None
+        e._since_refactor = e.pivots = e.refactors = 0
+        return e
 
     # -- extraction ------------------------------------------------------------
 
@@ -819,9 +857,8 @@ def remove_rows(solution: LpSolution, rows) -> LpSolution:
     (`state`), whose logicals must be basic (`_Engine.remove_rows`)."""
     if not solution.optimal:
         raise ValueError("can only remove rows from an optimal state")
-    engine = solution.state.clone()
-    engine.remove_rows(rows)
-    return LpSolution(LpStatus.OPTIMAL, solution.x, solution.value, engine)
+    return LpSolution(LpStatus.OPTIMAL, solution.x, solution.value,
+                      solution.state.remove_rows(rows))
 
 
 def is_integral(x) -> bool:

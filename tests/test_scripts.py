@@ -37,6 +37,7 @@ def test_script_runs(script, tmp_path):
                 "branch_and_bound@48"} <= set(runs)
         assert all("branch_nodes_per_frame" in run for run in runs.values())
         assert all(re.fullmatch("[0-9a-f]{64}", run["answers"]) for run in runs.values())
+        assert all(run["peak_rss_mb"] > 0 for run in runs.values())
         search = runs["branch_and_bound@48"]
         assert search["decoder"] == "branch_and_bound" and search["frames"] == 8
         assert search["branch_nodes_per_frame"] > 0  # frame t = 7 branches

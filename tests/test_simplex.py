@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import mpdec.simplex as simplex
 from mpdec.simplex import (_AT_LOWER, _BASIC, _WARM_DUAL_TOL, COST_TOL, LpRow, LpSolverError,
                            LpStatus, Rows, _Engine, add_rows_resolve, dump_lp,
                            fix_variable_resolve, is_integral, make_problem, remove_rows,
@@ -280,6 +281,135 @@ def test_oracle_battery_presolve():
                 assert sense == "<=" or act >= rhs - 1e-9
     assert seen["engine_drops"] > 30 and seen["engine_keeps"] > 40
     assert seen["binding"] > 20 and seen["dropped_and_kept"] > 20
+
+
+def meets_rows(x, rows, tol=1e-9):
+    for coeffs, sense, rhs in rows:
+        act = sum(v * x[j] for j, v in coeffs)
+        if (sense != ">=" and act > rhs + tol) or (sense != "<=" and act < rhs - tol):
+            return False
+    return True
+
+
+def random_pool_lp(rng):
+    """Three to six rows over two to four [0, 1] columns, mostly inequalities,
+    each met by a random point of the box but for about one in six, whose
+    side is flipped."""
+    n = int(rng.integers(2, 5))
+    x0 = rng.uniform(0.0, 1.0, size=n).round(2)
+    rows = []
+    for _ in range(int(rng.integers(3, 7))):
+        coeffs, _, _ = random_row(rng, n)
+        act = sum(v * x0[j] for j, v in coeffs)
+        sense = ("<=", ">=", "<=", ">=", "=")[int(rng.integers(0, 5))]
+        slack = float(rng.uniform(0.0, 0.5)) * (-1.0 if rng.random() < 0.15 else 1.0)
+        rhs = act if sense == "=" else act + slack if sense == "<=" else act - slack
+        rows.append((coeffs, sense, round(float(rhs), 2)))
+    return n, rng.standard_normal(n).round(2), rows, [0.0] * n, [1.0] * n
+
+
+def test_oracle_battery_pool(monkeypatch):
+    # with the pool's threshold at 2, every LP of three or more inequality
+    # rows starts its engine from its equality rows alone and pulls the
+    # rest: each solve, and each warm pin, added row and face from it, must
+    # equal the LP solved with every row in the engine (and the brute-force
+    # optimum), at a point that meets every row
+    rng = np.random.default_rng(43)
+    seen = dict(pooled=0, pulled=0, infeasible=0, edits=0)
+
+    def whole(problem):
+        monkeypatch.setattr(simplex, "_POOL_ROWS", 10 ** 9)
+        sol = solve(problem)
+        monkeypatch.setattr(simplex, "_POOL_ROWS", 2)
+        return sol
+
+    def same(warm, ref):
+        assert warm.status is ref.status
+        if ref.optimal:
+            assert warm.value == pytest.approx(ref.value, abs=1e-9)
+            seen["edits"] += 1
+
+    monkeypatch.setattr(simplex, "_POOL_ROWS", 2)
+    for _ in range(200):
+        n, c, rows, lo, hi = random_pool_lp(rng)
+        problem = make_problem(n, c, rows, lo, hi)
+        sol, ref = solve(problem), whole(problem)
+        engine = _Engine(problem)
+        equalities = problem.row_lo == problem.row_hi
+        assert ref.state.pool is None and ref.state.m == len(rows)
+        if engine.pool is None:
+            assert (~equalities).sum() <= 2
+            continue
+        seen["pooled"] += 1
+        assert engine.m == equalities.sum() and len(engine.pool) == len(rows) - engine.m
+        assert np.array_equal(engine.a, problem.rows.a[equalities])
+        expect = brute_force_lp(n, c, rows, lo, hi)
+        assert sol.status is ref.status
+        if expect is None:
+            assert sol.status is LpStatus.INFEASIBLE
+            seen["infeasible"] += 1
+            continue
+        assert sol.optimal and sol.num_rows == len(rows)
+        assert sol.value == pytest.approx(expect, abs=1e-7)
+        assert sol.value == pytest.approx(ref.value, abs=1e-9)
+        assert meets_rows(sol.x, rows)
+        seen["pulled"] += sol.state.pulled
+        j, v = int(rng.integers(n)), float(rng.integers(0, 2))
+        pin_lo, pin_hi = list(lo), list(hi)
+        pin_lo[j] = pin_hi[j] = v
+        child = fix_variable_resolve(sol, j, v)
+        assert child.state.pool is sol.state.pool
+        same(child, whole(make_problem(n, c, rows, pin_lo, pin_hi)))
+        if child.optimal:
+            assert meets_rows(child.x, rows)
+        more = random_rows(rng, n)
+        same(add_rows_resolve(sol, more), whole(make_problem(n, c, rows + more, lo, hi)))
+        i = int(rng.integers(len(rows)))
+        if math.isfinite(problem.rows.hi[i]):
+            face = (rows[i][0], ">=", rows[i][2])
+            same(add_rows_resolve(sol, problem.rows.face(i)),
+                 whole(make_problem(n, c, rows + [face], lo, hi)))
+    assert seen["pooled"] > 120 and seen["pulled"] > 150
+    assert seen["infeasible"] > 10 and seen["edits"] > 120
+
+
+def test_pool_alone_can_make_an_lp_infeasible(monkeypatch):
+    # each row can be met over the box, the two together cannot, and neither
+    # is in the engine when the solve starts
+    monkeypatch.setattr(simplex, "_POOL_ROWS", 1)
+    problem = make_problem(2, [1.0, 1.0], [([(0, 1.0), (1, 1.0)], ">=", 1.5),
+                                           ([(0, 1.0), (1, -1.0)], "<=", -0.75),
+                                           ([(0, 1.0), (1, 1.0)], "<=", 1.0)])
+    assert not problem.bad_bounds and _Engine(problem).m == 0
+    assert solve(problem).status is LpStatus.INFEASIBLE
+    # and a pin that leaves only pool rows to break does too
+    loose = make_problem(2, [1.0, 1.0], [([(0, 1.0), (1, 1.0)], ">=", 0.5),
+                                         ([(0, 1.0), (1, -1.0)], "<=", 0.5)])
+    sol = solve(loose)
+    assert sol.optimal and sol.state.m == sol.state.pulled == 1 and sol.num_rows == 2
+    assert fix_variable_resolve(sol, (0, 1), (1.0, 0.0)).status is LpStatus.INFEASIBLE
+
+
+def test_full_lp_n32_stays_whole():
+    # the 192 rows of full_lp_n32's forbidden-set LP are under the pool's
+    # threshold, so the engine takes every row and the pivots are as before
+    # the pool; the n=60 code's 960 rows are pooled
+    from mpdec.channels import Bsc, llr, transmit, trial_rng
+    from mpdec.formulations import build_formulation
+    from mpdec.gf2 import random_regular_ldpc
+    code = random_regular_ldpc(32, 3, 4, 7)
+    channel = Bsc(0.10)
+    pivots = []
+    for t in range(20):
+        lam = llr(transmit(np.zeros(32, dtype=np.uint8), channel, trial_rng(3, 0, t)), channel)
+        sol = solve(build_formulation(code, "fs", lam).lp)
+        assert sol.state.pool is None and sol.state.m == sol.num_rows == 192
+        pivots.append(sol.pivots)
+    assert sum(pivots) == 325 and pivots[:4] == [23, 2, 30, 4]
+    big = build_formulation(random_regular_ldpc(60, 3, 6, 2), "fs", np.ones(60)).lp
+    sol = solve(big)
+    assert len(sol.state.pool) == len(big.rows) == sol.num_rows == 960 > simplex._POOL_ROWS
+    assert sol.state.m == sol.state.pulled == 0 and sol.value == 0.0
 
 
 def test_parity_relax_root_is_crashed(monkeypatch):
@@ -724,6 +854,8 @@ def test_remove_rows_whose_logicals_are_basic():
             remove_rows(sol, [state.m])
         part = [i for i in basic if rng.random() < 0.5]
         kept, small = list(range(state.m)), sol
+        before = {name: v.copy() for name, v in vars(state).items()
+                  if isinstance(v, np.ndarray)}
         for gone in (part, [i for i in basic if i not in part]):
             small = remove_rows(small, [kept.index(i) for i in gone])
             kept = [i for i in kept if i not in gone]
@@ -748,7 +880,11 @@ def test_remove_rows_whose_logicals_are_basic():
                 if scratch.optimal:
                     assert warm.value == pytest.approx(scratch.value, abs=1e-9)
                     seen["edits"] += 1
-        assert state.m == len(rows)  # the state removal started from is as it was
+        # the state removal started from is as it was, after its children's
+        # removals and re-solves
+        assert state.m == len(rows)
+        for name, v in before.items():
+            assert getattr(state, name).tobytes() == v.tobytes(), name
         assert kept == tight
         seen["removed"] += len(basic)
         seen["kept"] += len(tight)
