@@ -5,22 +5,25 @@ Writes one JSON record (default `BENCH_scaling.json` at the repo root) with
 the machine, the Python and numpy versions, the `trial_rng` seeds and, per
 run, ms/frame (the median frame) and ms/pivot (the whole decode time over
 the pivots), each the median of three timed repeats (one with `--quick`),
-the mean pivots, iterations, final LP rows and branch nodes a frame, and
+the mean pivots, iterations, final LP rows and branch nodes a frame,
 `answers`: a sha256 over every frame's status, value and point in the first
-repeat, so two records show whether a change moved any answer.
+repeat, so two records show whether a change moved any answer, and
+`peak_rss_mb`, the process's peak resident set size after the run.  Runs go
+in size order, so the first run to reach a new peak owns it.
 Adaptive LP's row fraction is `final_lp_rows / n`. The runs are:
 
 - `scratch_n120`: one from-scratch solve of the full forbidden-set LP
   (`lp`) of `random_regular_ldpc(120, 3, 6, seed=620)` at BIAWGN sigma=1.0
   on the frame `trial_rng(520, 0, 0)`, as cross-checked by acceptance
-  criterion 4 (m = 1920 rows);
-- `lp` (the full forbidden-set LP, solved from scratch), `adaptive_lp`,
+  criterion 4 (m = 1920 rows, of which the engine takes only those the
+  solve pulls from its row pool);
+- `lp` (the full forbidden-set LP, solved from scratch; past 256 rows the
+  engine holds only the rows it pulls from the pool), `adaptive_lp`,
   `adaptive_lp_drop` (its drop mode, which removes the cut rows whose
   logicals are basic after each re-solve), `cutting_plane` and `min_sum`
   on (3,6)-regular codes `random_regular_ldpc(n, 3, 6, seed=1)`,
   n = 60/120/240/1000, and on `spc:3,3,3`, at BIAWGN sigma=0.8 on the
-  frames `trial_rng(3, 0, t)`.
-  `lp` skips n = 1000, whose full LP has 16 000 dense rows;
+  frames `trial_rng(3, 0, t)`;
 - `branch_and_bound@48`: ML decoding of `random_regular_ldpc(48, 3, 6, 1)`
   at BIAWGN sigma=0.75 on the 20 frames `trial_rng(3, 0, t)`.
 
@@ -36,6 +39,7 @@ Example:
 import argparse
 import hashlib
 import json
+import resource
 import statistics
 import sys
 import time
@@ -59,7 +63,6 @@ SCRATCH = dict(code=(120, 3, 6, 620), sigma=1.0, seed=520)
 FRAME_SEED = 3
 SIGMA = 0.8
 DECODERS = ("lp", "adaptive_lp", "adaptive_lp_drop", "cutting_plane", "min_sum")
-LP_MAX_N = 240
 FULL_FRAMES = {60: 20, 120: 20, 240: 10, 1000: 5, "spc:3,3,3": 20}
 QUICK_FRAMES = {60: 5, 120: 5, "spc:3,3,3": 5}
 SEARCH = dict(n=48, sigma=0.75, frames=20, quick_frames=8)
@@ -105,7 +108,8 @@ def run(name, code, frames, repeats):
                 iterations_per_frame=float(np.mean(iterations)),
                 final_lp_rows=float(np.mean(rows)),
                 branch_nodes_per_frame=float(np.mean(nodes)),
-                answers=answers.hexdigest())
+                answers=answers.hexdigest(),
+                peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 
 
 def report(r):
@@ -139,8 +143,6 @@ def main():
             label = f"random_regular_ldpc({size}, 3, 6, 1)"
         lams = frames_for(code, SIGMA, FRAME_SEED, count)
         for name in DECODERS:
-            if name == "lp" and code.n > LP_MAX_N:
-                continue
             runs.append(dict(run=f"{name}@{size}", code=label, sigma=SIGMA,
                              **run(name, code, lams, repeats)))
             report(runs[-1])
