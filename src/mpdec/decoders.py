@@ -29,6 +29,8 @@ from .simplex import (_TIE_EPS, COST_TOL, FEAS_TOL, LpSolution, LpSolverError,
                       add_rows_resolve, fix_variable_resolve, is_integral, make_problem,
                       remove_rows, solve)
 
+_FS_ROOT_ROWS = 1 << 11  # the largest fs LP branch & bound builds
+
 
 class DecodeStatus(Enum):
     ML_CERTIFIED = "ml_certified"
@@ -248,12 +250,12 @@ class _Incumbent:
 
 
 def _search_from_root(code: LinearCode, formulation: str | None, llr,
-                      stats: DecodeStats, search=None, separate=None, ties=False):
+                      stats: DecodeStats, search=None, separate=None):
     """The `_decode` body of the LP decoders.
 
     Solves the root relaxation (`_root`); an integral codeword optimum is
-    ML_CERTIFIED, unless branch & bound (`ties`) goes on to look for tied
-    smaller codewords.  Otherwise
+    ML_CERTIFIED, unless branch & bound (`search` and `separate` both
+    given) goes on to look for tied smaller codewords.  Otherwise
     `search(form, root, incumbent, stats)` offers candidates to the
     incumbent and returns True if it covered the whole code; the result is
     the incumbent (ML_CERTIFIED after a complete search, else
@@ -262,7 +264,7 @@ def _search_from_root(code: LinearCode, formulation: str | None, llr,
     incumbent = _Incumbent(code, llr)
     form, root = _root(code, llr, formulation, stats, separate)
     complete = incumbent.offer(root)
-    if search is not None and (ties or not complete):
+    if search is not None and (separate is not None or not complete):
         complete = search(form, root, incumbent, stats)
     return incumbent.result(complete, root)
 
@@ -419,16 +421,19 @@ def branch_and_bound_decode(code: LinearCode, llr, formulation: str = "fs",
                             max_depth: int | None = None) -> DecodeResult:
     """Depth-first LP branch & bound; exact ML when the tree is exhausted.
 
-    With "fs" the root solves the full forbidden-set LP and every child is
-    one warm re-solve of its parent with its bit pinned; any other
-    `formulation` is built in full, and its root and every child run the
-    separation loop.  A fractional node branches on the bit closest to 1/2,
-    a codeword node on its lowest unpinned 1, 0-child first, and only nodes
-    that cannot win are pruned, so a certificate is the oracle's codeword
-    among ties whichever tied vertex a solve ends at.
+    The root is the full `formulation`, but for an "fs" LP of more than
+    `_FS_ROOT_ROWS` rows (2^(d-1) a check of degree d): the box LP.  Each
+    child pins a bit on its parent's LP; only from a box or non-fs root does
+    every node run the separation loop.  A fractional node branches on the
+    bit closest to 1/2, a codeword node on its lowest unpinned 1, 0-child
+    first, and only nodes that cannot win are pruned, so a certificate is
+    the oracle's codeword among ties whichever tied vertex a solve ends at.
     """
     n = code.n
-    separate = None if formulation == "fs" else partial(_separate_until_clean, code=code)
+    rows = sum(1 << (r.bit_count() - 1) for r in code.H.rows if r)
+    kind = None if formulation == "fs" and rows > _FS_ROOT_ROWS else formulation
+    separate = partial(_separate_until_clean, code=code,
+                       max_rounds=0 if kind == "fs" else math.inf)
 
     def search(form, root, incumbent, stats):
         exhausted = True
@@ -444,9 +449,7 @@ def branch_and_bound_decode(code: LinearCode, llr, formulation: str = "fs",
             if j is not None:
                 if stats.branch_nodes >= max_nodes:
                     return False
-                sol = stats.tally(fix_variable_resolve(sol, j, v))
-                if separate is not None:
-                    sol = separate(sol, stats)
+                sol = separate(stats.tally(fix_variable_resolve(sol, j, v)), stats)
                 stats.branch_nodes += 1
                 if not sol.optimal or incumbent.prunes(sol.value, floor):
                     continue
@@ -463,8 +466,8 @@ def branch_and_bound_decode(code: LinearCode, llr, formulation: str = "fs",
                     stack.append((sol, free[0], float(value), depth + 1, child))
         return exhausted
 
-    return _decode(code.n, llr, partial(_search_from_root, code, formulation, search=search,
-                                        separate=separate, ties=True))
+    return _decode(code.n, llr, partial(_search_from_root, code, kind,
+                                        search=search, separate=separate))
 
 
 def variable_depth_decode(code: LinearCode, llr, depth: int = 8) -> DecodeResult:

@@ -46,12 +46,11 @@ per row block.  Only violated rows are then pivoted on.  A basis that ends
 primal feasible while something still prices in is repaired by moving
 those nonbasics to their other bound and running the dual simplex again.
 
-An LP of more than `_POOL_ROWS` inequality rows keeps them in a read-only
-pool, shared by clones, and its engine starts from its equality rows (the
-full forbidden-set LP's 2^(d-1) rows a check, of which a point of the box
-violates at most one).  Each primal feasible point, the confirmed one too,
-appends the pool rows it violates in place, logicals basic: y stays, so
-the reduced costs gain only zeros, and rows left in the pool carry dual 0.
+An LP of more than `_POOL_ROWS` inequality rows (the forbidden-set LP has
+2^(d-1) a check, and a point of the box violates at most one) keeps them in
+a read-only pool shared by clones, outside the engine.  Each primal feasible
+point, the confirmed one too, appends the pool rows it violates, logicals
+basic: y stays, the reduced costs gain only zeros, pool rows carry dual 0.
 
 Solver states are reusable: `add_rows_resolve` and `fix_variable_resolve`
 clone the state and re-solve with the dual simplex from the old basis,
@@ -289,8 +288,8 @@ class LpSolution:
     @property
     def num_rows(self) -> int:
         """Rows of the LP that was solved, those the engine left out or pools included."""
-        s = self.state
-        return s.m + len(s.presolved.cols if s.presolved else ()) + len(s.pool or ()) - s.pulled
+        s, p = self.state, self.state.presolved
+        return s.m - int(s.pulled.sum()) + len(s.pool or ()) + len(p.cols if p else ())
 
 
 class _Engine:
@@ -313,12 +312,12 @@ class _Engine:
         self.presolved = p = None if p is None or problem.objective[p.cols].any() else p
         rows, self.singles = (p.kept, p.singles) if p else (
             Rows(problem.rows.a, problem.row_lo, problem.row_hi), problem.singles)
-        ineq, self.pool, self.pulled = rows.lo < rows.hi, None, 0
+        ineq, self.pool = rows.lo < rows.hi, None
         if ineq.sum() > _POOL_ROWS:  # the engine starts from the equalities alone
             self.pool = rows if ineq.all() else Rows(rows.a[ineq], rows.lo[ineq], rows.hi[ineq])
             rows, self.singles = Rows(rows.a[~ineq], rows.lo[~ineq], rows.hi[~ineq]), None
         n, m = problem.num_vars, len(rows)
-        self.nstruct = n
+        self.nstruct, self.pulled = n, np.zeros(m, dtype=bool)  # rows from the pool
         self.a = rows.a
         self.c = np.concatenate([problem.objective, np.zeros(m)])
         self.lo = np.concatenate([problem.lower, rows.lo])
@@ -607,8 +606,7 @@ class _Engine:
                 flip = self._prices_in(self._reduced_costs(), COST_TOL)
                 if not flip.any():
                     return LpStatus.OPTIMAL
-                self.status[flip] = np.where(self.status[flip] == _AT_LOWER,
-                                             _AT_UPPER, _AT_LOWER)
+                self.status[flip] = np.where(self.status[flip] == _AT_LOWER, _AT_UPPER, _AT_LOWER)
                 self._refactor()
             rounds += 1
         raise LpSolverError("could not confirm optimality")
@@ -621,11 +619,10 @@ class _Engine:
             return False
         act = pool.a @ self.values()[:self.nstruct]
         out = (act > pool.hi + FEAS_TOL) | (act < pool.lo - FEAS_TOL)
-        if not out.any():
-            return False
-        self.add_rows(Rows(pool.a[out], pool.lo[out], pool.hi[out]))
-        self.pulled += int(out.sum())
-        return True
+        if out.any():
+            self.add_rows(Rows(pool.a[out], pool.lo[out], pool.hi[out]))
+            self.pulled[-out.sum():] = True
+        return bool(out.any())
 
     def optimize_scratch(self) -> LpStatus:
         """Solve from the slack basis with each structural at the bound its
@@ -723,6 +720,7 @@ class _Engine:
         self._lpos = np.concatenate([self._lpos, new])
         self.basis = np.concatenate([self.basis, n + new])
         self.status = np.concatenate([self.status, np.full(kr, _BASIC, dtype=np.int8)])
+        self.pulled = np.concatenate([self.pulled, np.zeros(kr, dtype=bool)])
         self.x_basic = np.concatenate([self.x_basic, block @ x_old[:n]])
         if self._d is not None:  # y is unchanged, the new logicals basic
             self._d = np.concatenate([self._d, np.zeros(kr)])
@@ -758,11 +756,11 @@ class _Engine:
         self.add_rows(p.dropped)
 
     def remove_rows(self, rows) -> "_Engine":
-        """A copy without the given rows, whose logicals must all be basic
-        (ValueError for any other).  Row i's logical sits at some basis
-        position p, so B loses row i and column p, B^-1 row p and column i,
-        and W column p: x, y and every reduced cost stay, so an optimal basis
-        stays optimal.  Every array is built anew but A[T], copied once."""
+        """A copy, only A[T] copied whole, without the given rows, whose
+        logicals must be basic (ValueError for any other).  Row i's logical is
+        at basis position p, so B loses row i and column p, B^-1 row p and
+        column i, W column p: x, y and each reduced cost stay, so an optimal
+        basis stays optimal.  A pulled row returns to the pool, which holds it."""
         n, m = self.nstruct, self.m
         rows = np.asarray(rows, dtype=np.intp)
         if ((rows < 0) | (rows >= m)).any() or (self.status[n + rows] != _BASIC).any():
@@ -777,7 +775,7 @@ class _Engine:
         e.basis = np.concatenate([np.arange(n), n + row_to])[self.basis[at]]
         cols = np.concatenate([np.ones(n, dtype=bool), kept])
         e.c, e.lo, e.hi, e.status = (v[cols] for v in (self.c, self.lo, self.hi, self.status))
-        e.a, e.x_basic = self.a[kept], self.x_basic[at]
+        e.a, e.x_basic, e.pulled = self.a[kept], self.x_basic[at], self.pulled[kept]
         e._w, e._at = self._w[:min(n, e.m), at], self._at[:min(n, e.m)].copy()
         e.singles = e._d = None
         e._since_refactor = e.pivots = e.refactors = 0

@@ -564,6 +564,25 @@ def test_branch_and_bound_root_is_the_fs_lp():
     assert res.stats.iterations == res.stats.cuts_added == 0 and "fs" in code.lp_cache
 
 
+def test_branch_and_bound_separates_from_the_box_on_a_dense_check():
+    # a check of 27 bits would give the fs LP 2^26 rows, more than
+    # MAX_CHECK_DEGREE allows and far over _FS_ROOT_ROWS: the root is the box
+    # LP, the fs LP is never built, and the separation loop still reaches
+    # the oracle's ML word
+    n = 28
+    rows = [[int(j < 27) for j in range(n)]]
+    rows += [[int(j in (i, i + 1)) for j in range(n)] for i in range(24)]
+    code = LinearCode(BinaryMatrix.from_array(rows))
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        lam = rng.normal(0.5, 1.5, n)
+        res = branch_and_bound_decode(code, lam)
+        cw, val = ml_bruteforce(code, lam)
+        assert res.status is DecodeStatus.ML_CERTIFIED
+        assert np.array_equal(res.codeword(), cw) and res.value == pytest.approx(val)
+    assert "fs" not in code.lp_cache and res.stats.iterations > 0
+
+
 def test_batch_separation_decodes_like_the_reference(monkeypatch):
     # the first 20 frames of the cuts_n120 benchmark campaign (seed 3): the
     # batch separation must hand the LP the very cuts, in the very order, of

@@ -353,7 +353,7 @@ def test_oracle_battery_pool(monkeypatch):
         assert sol.value == pytest.approx(expect, abs=1e-7)
         assert sol.value == pytest.approx(ref.value, abs=1e-9)
         assert meets_rows(sol.x, rows)
-        seen["pulled"] += sol.state.pulled
+        seen["pulled"] += sol.state.pulled.sum()
         j, v = int(rng.integers(n)), float(rng.integers(0, 2))
         pin_lo, pin_hi = list(lo), list(hi)
         pin_lo[j] = pin_hi[j] = v
@@ -386,7 +386,7 @@ def test_pool_alone_can_make_an_lp_infeasible(monkeypatch):
     loose = make_problem(2, [1.0, 1.0], [([(0, 1.0), (1, 1.0)], ">=", 0.5),
                                          ([(0, 1.0), (1, -1.0)], "<=", 0.5)])
     sol = solve(loose)
-    assert sol.optimal and sol.state.m == sol.state.pulled == 1 and sol.num_rows == 2
+    assert sol.optimal and sol.state.m == sol.state.pulled.sum() == 1 and sol.num_rows == 2
     assert fix_variable_resolve(sol, (0, 1), (1.0, 0.0)).status is LpStatus.INFEASIBLE
 
 
@@ -409,7 +409,7 @@ def test_full_lp_n32_stays_whole():
     big = build_formulation(random_regular_ldpc(60, 3, 6, 2), "fs", np.ones(60)).lp
     sol = solve(big)
     assert len(sol.state.pool) == len(big.rows) == sol.num_rows == 960 > simplex._POOL_ROWS
-    assert sol.state.m == sol.state.pulled == 0 and sol.value == 0.0
+    assert sol.state.m == sol.state.pulled.sum() == 0 and sol.value == 0.0
 
 
 def test_parity_relax_root_is_crashed(monkeypatch):
@@ -890,6 +890,39 @@ def test_remove_rows_whose_logicals_are_basic():
         seen["kept"] += len(tight)
     assert seen["removed"] > 100 and seen["kept"] > 50
     assert seen["refused"] > 50 and seen["edits"] > 150
+
+
+def test_remove_pulled_rows(monkeypatch):
+    # pulled rows whose logicals are basic go back to the pool when removed:
+    # num_rows still counts every row of the LP, and a warm pin from the
+    # smaller engine, which may pull them again, equals a scratch solve and
+    # counts each row once
+    monkeypatch.setattr(simplex, "_POOL_ROWS", 2)
+    rng = np.random.default_rng(67)
+    seen = dict(removed=0, pins=0)
+    for _ in range(300):
+        n, c, rows, lo, hi = random_pool_lp(rng)
+        sol = solve(make_problem(n, c, rows, lo, hi))
+        if not sol.optimal or sol.state.pool is None:
+            continue
+        state = sol.state
+        gone = [int(i) for i in np.flatnonzero(state.pulled) if state.status[n + i] == _BASIC]
+        if not gone:
+            continue
+        small = remove_rows(sol, gone)
+        assert small.num_rows == sol.num_rows == len(rows)
+        assert small.state.pulled.sum() == state.pulled.sum() - len(gone)
+        seen["removed"] += len(gone)
+        j, v = int(rng.integers(n)), float(rng.integers(0, 2))
+        pin_lo, pin_hi = list(lo), list(hi)
+        pin_lo[j] = pin_hi[j] = v
+        pin, scratch = fix_variable_resolve(small, j, v), solve(make_problem(n, c, rows, pin_lo, pin_hi))
+        assert pin.status is scratch.status
+        if scratch.optimal:
+            assert pin.value == pytest.approx(scratch.value, abs=1e-9)
+            assert pin.num_rows == len(rows) and meets_rows(pin.x, rows)
+            seen["pins"] += 1
+    assert seen["removed"] > 30 and seen["pins"] > 20
 
 
 def random_pivot(engine, rng):
